@@ -18,7 +18,7 @@
 //!
 //! The crate also implements the paper's baselines (McPAT-Calib, McPAT-Calib +
 //! Component, and the AutoPower− ablation), time-based power-trace prediction, and
-//! the batch design-space sweep path ([`SweepEngine`] / [`AutoPower::predict_batch`])
+//! the batch design-space sweep path ([`SweepEngine`] / [`sweep_multi`])
 //! that scores generated configurations without ever synthesizing them.
 //!
 //! All four predictors implement the object-safe [`PowerModel`] trait and are
@@ -98,8 +98,8 @@ pub use surrogate::{
     SURROGATE_FORMAT_VERSION, SURROGATE_TRAIN_SEED,
 };
 pub use sweep::{
-    config_summary, rank_by_efficiency, summarize, sweep_multi, sweep_multi_with_stats,
-    ConfigSummary, EngineScratch, SimBackend, SweepEngine, SweepPoint, SweepSpec,
+    config_summary, rank_by_efficiency, summarize, sweep_multi, ConfigSummary, EngineScratch,
+    SimBackend, SweepEngine, SweepPoint, SweepSpec,
 };
 pub use trace::{
     evaluate_trace_prediction, trace_errors, PowerTracePredictor, PredictedPowerTrace,

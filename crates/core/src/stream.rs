@@ -29,8 +29,8 @@
 //! counter-driven (not randomized as in textbook KLL), so the same point
 //! stream always produces the same sketch — resumed or not, at any thread
 //! count.  While a sketch has never compacted (the common case below ~10k
-//! points per series at the default capacity) its quantiles are *exact* and
-//! match the materialized report's nearest-rank table.
+//! points per series at the default capacity) its quantiles are *exact*: the
+//! nearest-rank quantiles of the materialized summaries.
 
 use crate::error::AutoPowerError;
 use crate::serialize::{decode_config, encode_config};
@@ -132,9 +132,9 @@ impl QuantileSketch {
     /// The estimated `q`-quantile (`q` clamped to `[0, 1]`), or `None` while
     /// empty.
     ///
-    /// Uses the same nearest-rank rule as the materialized sweep report —
-    /// `round((n - 1) * q)` over the weighted sorted values — so an
-    /// uncompacted sketch reproduces that table bit for bit.
+    /// Uses the nearest-rank rule — `round((n - 1) * q)` over the weighted
+    /// sorted values — so an uncompacted sketch reproduces the nearest-rank
+    /// quantiles of the materialized values bit for bit.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -315,7 +315,7 @@ impl PowerSeries {
         PowerSeries::Total,
     ];
 
-    /// Stable row label (matches the materialized sweep report).
+    /// Stable row label of the sweep report's quantile table.
     pub fn label(self) -> &'static str {
         match self {
             PowerSeries::Clock => "clock",

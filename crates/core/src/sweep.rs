@@ -8,7 +8,7 @@
 //! simulation.  That asymmetry is the paper's whole point, and [`SweepEngine`]
 //! exploits it to score thousands of configurations that were never
 //! synthesized and never power-simulated — under any [`PowerModel`]
-//! implementation, not just [`AutoPower`].
+//! implementation, not just [`AutoPower`](crate::AutoPower).
 //!
 //! The engine shards the `configs × workloads` cross product into bounded
 //! chunks and runs each chunk through the same `parallel_map` substrate the
@@ -44,7 +44,6 @@
 
 use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
-use crate::model::AutoPower;
 use crate::pipeline::parallel_map_with;
 use crate::power_model::{PowerModel, PredictInput};
 use crate::prediction::Prediction;
@@ -232,10 +231,9 @@ impl ChunkScratch {
     }
 }
 
-/// Reusable worker state of [`SweepEngine::run_with`] /
-/// [`SweepEngine::for_each_point_with`]: the per-chunk scoring scratch
-/// (pipeline machine, replay streams, [`FeatureScratch`], batch buffers),
-/// opaque so its layout can evolve with the engine.
+/// Reusable worker state of [`SweepEngine::run_with`]: the per-chunk scoring
+/// scratch (pipeline machine, replay streams, [`FeatureScratch`], batch
+/// buffers), opaque so its layout can evolve with the engine.
 ///
 /// A long-running caller — the serving layer's worker pool — holds one per
 /// worker thread and reuses it across every batch it scores, so the
@@ -615,8 +613,10 @@ impl<'a> SweepEngine<'a> {
             // streams, pipeline state and batch buffers are materialized once
             // instead of once per shard.  Scoring order — and therefore
             // output — is identical to the sharded path.
-            let mut scratch = EngineScratch::new();
-            self.for_each_point_with(configs, workloads, &mut scratch, sink);
+            let mut scratch = ChunkScratch::new();
+            for shard in configs.chunks(chunk) {
+                self.score_chunk(cache, shard, workloads, &mut scratch, &mut sink);
+            }
             return;
         }
         for shard in configs.chunks(chunk) {
@@ -639,29 +639,6 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
-    /// [`SweepEngine::for_each_point`] scoring serially through a
-    /// caller-owned [`EngineScratch`], so a resident process can reuse one
-    /// scratch across many engine runs.
-    ///
-    /// Ignores [`SweepSpec::threads`] — the caller owns the parallelism (one
-    /// scratch per worker thread, as the serving layer does).  Output is
-    /// bit-identical to [`SweepEngine::for_each_point`] at any thread count
-    /// and to a fresh-scratch run: reuse only skips re-allocating buffers
-    /// that are fully overwritten per chunk.
-    pub fn for_each_point_with(
-        &self,
-        configs: &[CpuConfig],
-        workloads: &[Workload],
-        scratch: &mut EngineScratch,
-        mut sink: impl FnMut(SweepPoint),
-    ) {
-        let cache = self.spec.use_sim_cache.then_some(&self.cache);
-        let chunk = self.spec.chunk_configs.max(1);
-        for shard in configs.chunks(chunk) {
-            self.score_chunk(cache, shard, workloads, &mut scratch.0, &mut sink);
-        }
-    }
-
     /// Scores every `(configuration, workload)` pair, configuration-major, in
     /// deterministic input order.
     ///
@@ -672,9 +649,15 @@ impl<'a> SweepEngine<'a> {
         points
     }
 
-    /// Materializing wrapper over [`SweepEngine::for_each_point_with`]:
-    /// serial scoring into `out` (cleared first) through a caller-owned
-    /// reusable scratch.
+    /// [`SweepEngine::run`] scoring serially into `out` (cleared first)
+    /// through a caller-owned [`EngineScratch`], so a resident process can
+    /// reuse one scratch across many engine runs.
+    ///
+    /// Ignores [`SweepSpec::threads`] — the caller owns the parallelism (one
+    /// scratch per worker thread, as the serving layer does).  Output is
+    /// bit-identical to [`SweepEngine::run`] at any thread count and to a
+    /// fresh-scratch run: reuse only skips re-allocating buffers that are
+    /// fully overwritten per chunk.
     pub fn run_with(
         &self,
         configs: &[CpuConfig],
@@ -684,17 +667,10 @@ impl<'a> SweepEngine<'a> {
     ) {
         out.clear();
         out.reserve(configs.len() * workloads.len());
-        self.for_each_point_with(configs, workloads, scratch, |p| out.push(p));
-    }
-
-    /// Scores every pair and folds the points into one [`ConfigSummary`] per
-    /// configuration, in input order.
-    pub fn run_summaries(
-        &self,
-        configs: &[CpuConfig],
-        workloads: &[Workload],
-    ) -> Vec<ConfigSummary> {
-        summarize(&self.run(configs, workloads), workloads.len())
+        let cache = self.spec.use_sim_cache.then_some(&self.cache);
+        for shard in configs.chunks(self.spec.chunk_configs.max(1)) {
+            self.score_chunk(cache, shard, workloads, &mut scratch.0, |p| out.push(p));
+        }
     }
 }
 
@@ -705,19 +681,9 @@ impl<'a> SweepEngine<'a> {
 /// model, so sweeping `m` models costs one simulation pass plus `m` cheap
 /// prediction passes instead of `m` full sweeps.  Returns one point list per
 /// model, each bit-identical to what `SweepEngine::new(model, spec).run(...)`
-/// would produce on its own.
+/// would produce on its own, plus the statistics of the shared simulation
+/// cache (for comparison reports).
 pub fn sweep_multi(
-    models: &[&dyn PowerModel],
-    spec: &SweepSpec,
-    configs: &[CpuConfig],
-    workloads: &[Workload],
-) -> Vec<Vec<SweepPoint>> {
-    sweep_multi_with_stats(models, spec, configs, workloads).0
-}
-
-/// [`sweep_multi`] returning the simulation-cache statistics alongside the
-/// per-model points (for comparison reports).
-pub fn sweep_multi_with_stats(
     models: &[&dyn PowerModel],
     spec: &SweepSpec,
     configs: &[CpuConfig],
@@ -920,25 +886,11 @@ pub fn config_summary(group: &[SweepPoint]) -> ConfigSummary {
     }
 }
 
-impl AutoPower {
-    /// Batch inference: predicts per-group power (and simulated IPC) for every
-    /// `(configuration, workload)` pair without synthesis or golden power.
-    ///
-    /// Convenience wrapper around [`SweepEngine::run`].
-    pub fn predict_batch(
-        &self,
-        configs: &[CpuConfig],
-        workloads: &[Workload],
-        spec: &SweepSpec,
-    ) -> Vec<SweepPoint> {
-        SweepEngine::new(self, *spec).run(configs, workloads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{Corpus, CorpusSpec};
+    use crate::model::AutoPower;
     use crate::power_model::ModelKind;
     use autopower_config::{boom_configs, ConfigId, DesignSpace};
 
@@ -957,7 +909,8 @@ mod tests {
         let model = trained_model();
         let configs = DesignSpace::boom().sample(5, 11);
         let workloads = [Workload::Dhrystone, Workload::Qsort];
-        let points = model.predict_batch(&configs, &workloads, &SweepSpec::fast().threads(1));
+        let points =
+            SweepEngine::new(&model, SweepSpec::fast().threads(1)).run(&configs, &workloads);
         assert_eq!(points.len(), 10);
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.config, configs[i / 2]);
@@ -1064,12 +1017,14 @@ mod tests {
         let configs = DesignSpace::boom().sample(4, 9);
         let workloads = [Workload::Dhrystone, Workload::Qsort];
         let spec = SweepSpec::fast().threads(2);
-        let multi = sweep_multi(&refs, &spec, &configs, &workloads);
+        let (multi, stats) = sweep_multi(&refs, &spec, &configs, &workloads);
         assert_eq!(multi.len(), refs.len());
         for (model, points) in refs.iter().zip(&multi) {
             let solo = SweepEngine::new(*model, spec).run(&configs, &workloads);
             assert_eq!(&solo, points);
         }
+        // One simulation per pair, shared by every model.
+        assert_eq!(stats.lookups(), (configs.len() * workloads.len()) as u64);
     }
 
     #[test]
@@ -1077,8 +1032,9 @@ mod tests {
         let model = trained_model();
         let configs = DesignSpace::boom().sample(5, 21);
         let workloads = [Workload::Dhrystone];
-        let summaries = SweepEngine::new(&model, SweepSpec::fast().threads(1))
-            .run_summaries(&configs, &workloads);
+        let points =
+            SweepEngine::new(&model, SweepSpec::fast().threads(1)).run(&configs, &workloads);
+        let summaries = summarize(&points, workloads.len());
         let ranked = rank_by_efficiency(&summaries);
         assert_eq!(ranked.len(), summaries.len());
         for pair in ranked.windows(2) {
@@ -1106,7 +1062,6 @@ mod tests {
             assert!(s.mean_groups.is_some(), "AutoPower summaries carry groups");
             assert!(s.energy_per_instruction > 0.0);
         }
-        assert_eq!(summaries, engine.run_summaries(&configs, &workloads));
     }
 
     #[test]
@@ -1171,7 +1126,7 @@ mod tests {
     fn ragged_summary_input_panics() {
         let model = trained_model();
         let configs = DesignSpace::boom().sample(1, 1);
-        let points = model.predict_batch(&configs, &[Workload::Vvadd], &SweepSpec::fast());
+        let points = SweepEngine::new(&model, SweepSpec::fast()).run(&configs, &[Workload::Vvadd]);
         let _ = summarize(&points, 2);
     }
 

@@ -13,8 +13,8 @@ use crate::design_sweep::describe_cache;
 use crate::report::format_table;
 use crate::Experiments;
 use autopower::{
-    rank_by_efficiency, summarize, sweep_multi_with_stats, AutoPowerError, ConfigSummary,
-    ModelKind, PowerGroups, PowerModel,
+    rank_by_efficiency, summarize, sweep_multi, AutoPowerError, ConfigSummary, ModelKind,
+    PowerGroups, PowerModel,
 };
 use autopower_config::{ConfigId, Workload};
 use autopower_perfsim::SimCacheStats;
@@ -251,11 +251,11 @@ impl Experiments {
     /// registry model and reports where they disagree (the `compare`
     /// subcommand).
     ///
-    /// Shares its inputs with [`Experiments::design_space_sweep`] (same seed,
+    /// Shares its inputs with a sampled [`Experiments::sweep`] (same seed,
     /// same training set, same sweep settings), so the compared space is
-    /// exactly the space the `sweep` experiment scores.  The performance
+    /// exactly the space `sweep --count N` scores.  The performance
     /// simulation of each `(configuration, workload)` pair runs once and is
-    /// shared by all models ([`sweep_multi_with_stats`]) — simulation output
+    /// shared by all models ([`sweep_multi`]) — simulation output
     /// does not depend on the model.
     ///
     /// # Errors
@@ -275,7 +275,7 @@ impl Experiments {
             .collect::<Result<Vec<Box<dyn PowerModel>>, AutoPowerError>>()?;
         let refs: Vec<&dyn PowerModel> = models.iter().map(Box::as_ref).collect();
         let (point_sets, cache_stats) =
-            sweep_multi_with_stats(&refs, &inputs.spec, &inputs.configs, &inputs.workloads);
+            sweep_multi(&refs, &inputs.spec, &inputs.configs, &inputs.workloads);
         let per_model = ModelKind::ALL
             .into_iter()
             .zip(point_sets)

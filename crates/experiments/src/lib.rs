@@ -16,9 +16,7 @@
 //! | Fig. 8 (SRAM detail, all component-resolving models) | [`Experiments::fig8_sram_detail`] | `fig8` |
 //! | Table IV (time-based power traces) | [`Experiments::table4_power_trace`] | `table4` |
 //! | Ablations (program features, simulator inaccuracy) | [`Experiments::ablation_study`] | `ablation` |
-//! | Design-space sweep (generated configurations) | [`Experiments::design_space_sweep`] | `sweep` |
-//! | Streaming sweep (bounded memory, checkpoint/resume) | [`Experiments::streaming_sweep`] | `sweep --stream` / `--full` |
-//! | Pareto frontier (power vs IPC vs area proxy) | [`Experiments::pareto_frontier`] | `pareto` |
+//! | Design-space sweep and Pareto frontier (generated configurations; bounded memory, checkpoint/resume) | [`Experiments::sweep`] | `sweep` / `pareto` (`--full` for the whole space) |
 //! | Leave-one-out cross-validation | [`Experiments::cross_validation_model`] | `xval` |
 //! | Model-disagreement sweep (all registry models) | [`Experiments::model_comparison`] | `compare` |
 //!
@@ -44,7 +42,6 @@ mod detail;
 mod obs1;
 mod report;
 mod settings;
-mod stream_sweep;
 mod surrogate_exp;
 mod sweep;
 mod table1;
@@ -54,14 +51,11 @@ mod xval_exp;
 pub use ablation::AblationResult;
 pub use accuracy::{compare_methods, AccuracyComparison, MethodAccuracy};
 pub use compare::ModelComparison;
-pub use design_sweep::DesignSweepResult;
+pub use design_sweep::{ModelSource, StreamScope, StreamSweepResult, SurrogateSpec, SweepRequest};
 pub use detail::{ComponentDetailRow, GroupDetailResult, SubModelAccuracy};
 pub use obs1::BreakdownResult;
 pub use report::{format_table, percent};
 pub use settings::ExperimentSettings;
-pub use stream_sweep::{
-    ParetoResult, StreamExtras, StreamOptions, StreamScope, StreamSweepResult, SurrogateSpec,
-};
 pub use surrogate_exp::{SurrogateOptions, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN};
 pub use sweep::{SweepPoint, SweepResult};
 pub use table1::{BlockShape, Table1Result};
@@ -154,8 +148,8 @@ impl Experiments {
     /// Trains one registry model exactly the way the `sweep` experiment
     /// does (same corpus, same two-configuration training set) — the
     /// `save-model` CLI path.  A model saved from here and restored with
-    /// [`autopower::load_model`] sweeps bit-identically to a
-    /// [`Experiments::design_space_sweep_model`] run that retrains.
+    /// [`autopower::load_model`] sweeps bit-identically to an
+    /// [`Experiments::sweep`] run that retrains.
     ///
     /// # Errors
     ///

@@ -31,22 +31,23 @@
 //! (`sweep`, `compare` and `pareto` only) — an audit knob; the scored points
 //! are bit-identical either way.
 //!
-//! Streaming sweeps: `sweep --stream` folds the sampled configurations through
-//! the bounded-memory aggregator (same report, O(top-k + sketches + one chunk)
-//! memory) and `sweep --full` streams the **entire** enumerable design space
-//! instead of `--count` samples.  `--chunk N` sets the configurations per
-//! chunk, `--checkpoint FILE` snapshots the aggregate after every chunk,
-//! `--resume` continues from that snapshot (byte-identical final report), and
-//! `--max-chunks N` stops after N chunks — the deterministic stand-in for an
-//! interrupt, used by the CI resume smoke.  `pareto` streams the space and
-//! prints the power-vs-IPC-vs-area-proxy non-dominated frontier.  Process-local
-//! diagnostics (cache hit rates, peak retained points) go to stderr so
-//! one-shot and resumed stdout compare equal.
+//! Sweeps: `sweep` and `pareto` both stream their configurations through the
+//! bounded-memory aggregator (O(top-k + sketches + one chunk) memory) —
+//! `--count N` samples or, with `--full`, the **entire** enumerable design
+//! space.  `--stream` is accepted and has no effect (every sweep streams).
+//! `--chunk N` sets the configurations per chunk, `--checkpoint FILE`
+//! snapshots the aggregate after every chunk, `--resume` continues from that
+//! snapshot (byte-identical final report), and `--max-chunks N` stops after N
+//! chunks — the deterministic stand-in for an interrupt, used by the CI resume
+//! smoke.  `sweep` prints quantiles and the top configurations; `pareto`
+//! prints the power-vs-IPC-vs-area-proxy non-dominated frontier.
+//! Process-local diagnostics (cache hit rates, peak retained points) go to
+//! stderr so one-shot and resumed stdout compare equal.
 
 use autopower::{CorpusSpec, ModelKind, ParetoConstraints};
 use autopower_experiments::{
-    ExperimentSettings, Experiments, StreamExtras, StreamOptions, StreamScope, StreamSweepResult,
-    SurrogateOptions, SurrogateSpec, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN,
+    ExperimentSettings, Experiments, ModelSource, StreamScope, SurrogateOptions, SurrogateSpec,
+    SweepRequest, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -66,9 +67,9 @@ const LOADABLE_EXPERIMENTS: [&str; 3] = ["sweep", "table4", "pareto"];
 /// is an audit knob — the scored points are bit-identical either way.
 const SIM_CACHE_EXPERIMENTS: [&str; 3] = ["sweep", "compare", "pareto"];
 
-/// Experiments that can walk the full design space (`--full`) or stream
-/// (`--stream`); `--chunk` is accepted for these plus `compare` (any user of
-/// the sweep engine).
+/// Experiments that can walk the full design space (`--full`) and accept the
+/// no-op `--stream`; `--chunk` is accepted for these plus `compare` (any user
+/// of the sweep engine).
 const STREAM_EXPERIMENTS: [&str; 2] = ["sweep", "pareto"];
 
 /// Experiments `--checkpoint`/`--resume`/`--max-chunks` apply to: only the
@@ -108,10 +109,11 @@ fn usage() -> String {
          {SAVE_MODEL} trains --model and writes it to --out (default <model>.apm); \
          --load-model applies to {} only; --no-sim-cache disables sweep simulation \
          memoization ({} only, bit-identical output)\n\
-         streaming ({} only): --stream folds with bounded memory, --full streams the whole \
-         enumerable space (instead of --count samples), --chunk sets configurations per \
-         chunk; --checkpoint writes a snapshot after every chunk, --resume continues from \
-         it (byte-identical report), --max-chunks stops after N chunks ({} only)\n\
+         streaming ({} only; both always stream with bounded memory, --stream is accepted \
+         and has no effect): --full streams the whole enumerable space (instead of --count \
+         samples), --chunk sets configurations per chunk; --checkpoint writes a snapshot \
+         after every chunk, --resume continues from it (byte-identical report), \
+         --max-chunks stops after N chunks ({} only)\n\
          surrogate ({} only): --surrogate scores with a learned activity surrogate and \
          simulates only a deterministic --audit-rate fraction (default {DEFAULT_AUDIT_RATE}, \
          in (0, 1]) exactly to report the error bound; --surrogate-train N sets the oracle \
@@ -157,7 +159,8 @@ struct CliArgs {
     /// Whether `--count` was given explicitly (conflicts with `--full`, which
     /// makes the count meaningless).
     count_explicit: bool,
-    /// `--stream`: fold the sweep through the bounded-memory aggregator.
+    /// `--stream`: accepted on the streaming verbs and otherwise ignored
+    /// (every sweep streams).
     stream: bool,
     /// `--full`: stream the whole enumerable design space.
     full: bool,
@@ -190,27 +193,12 @@ struct CliArgs {
 }
 
 impl CliArgs {
-    /// Whether the `sweep` verb should stream instead of materializing: any
-    /// streaming-only capability being asked for implies it.
-    fn wants_streaming_sweep(&self) -> bool {
-        self.stream || self.full || self.checkpoint.is_some() || self.resume
-    }
-
-    /// The scope streaming verbs walk.
+    /// The scope the sweep verbs walk.
     fn stream_scope(&self) -> StreamScope {
         if self.full {
             StreamScope::Full
         } else {
             StreamScope::Sampled(self.count)
-        }
-    }
-
-    /// The checkpoint/interrupt options of a streaming sweep.
-    fn stream_options(&self) -> StreamOptions {
-        StreamOptions {
-            checkpoint: self.checkpoint.as_ref().map(PathBuf::from),
-            resume: self.resume,
-            max_chunks: self.max_chunks,
         }
     }
 
@@ -286,7 +274,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--count needs a value\n{}", usage()))?;
-                parsed.count = parse_sweep_count(&value)?;
+                parsed.count = parse_sweep_count(&value, "--count")?;
                 parsed.count_explicit = true;
             }
             "--stream" => parsed.stream = true,
@@ -297,10 +285,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--surrogate-train needs a value\n{}", usage()))?;
-                parsed.surrogate_train = Some(
-                    parse_sweep_count(&value)
-                        .map_err(|e| e.replace("--count", "--surrogate-train"))?,
-                );
+                parsed.surrogate_train = Some(parse_sweep_count(&value, "--surrogate-train")?);
             }
             "--audit-rate" => {
                 let value = iter
@@ -336,8 +321,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--chunk needs a value\n{}", usage()))?;
-                parsed.chunk =
-                    parse_sweep_count(&value).map_err(|e| e.replace("--count", "--chunk"))?;
+                parsed.chunk = parse_sweep_count(&value, "--chunk")?;
             }
             "--checkpoint" => {
                 let value = iter
@@ -349,9 +333,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--max-chunks needs a value\n{}", usage()))?;
-                parsed.max_chunks = parse_sweep_count(&value)
-                    .map_err(|e| e.replace("--count", "--max-chunks"))?
-                    as u64;
+                parsed.max_chunks = parse_sweep_count(&value, "--max-chunks")? as u64;
             }
             "--model" => {
                 let value = iter
@@ -376,22 +358,16 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
                 if let Some(value) = other.strip_prefix("--threads=") {
                     parsed.threads = parse_count(value, "--threads")?;
                 } else if let Some(value) = other.strip_prefix("--count=") {
-                    parsed.count = parse_sweep_count(value)?;
+                    parsed.count = parse_sweep_count(value, "--count")?;
                     parsed.count_explicit = true;
                 } else if let Some(value) = other.strip_prefix("--chunk=") {
-                    parsed.chunk =
-                        parse_sweep_count(value).map_err(|e| e.replace("--count", "--chunk"))?;
+                    parsed.chunk = parse_sweep_count(value, "--chunk")?;
                 } else if let Some(value) = other.strip_prefix("--checkpoint=") {
                     parsed.checkpoint = Some(value.to_owned());
                 } else if let Some(value) = other.strip_prefix("--max-chunks=") {
-                    parsed.max_chunks = parse_sweep_count(value)
-                        .map_err(|e| e.replace("--count", "--max-chunks"))?
-                        as u64;
+                    parsed.max_chunks = parse_sweep_count(value, "--max-chunks")? as u64;
                 } else if let Some(value) = other.strip_prefix("--surrogate-train=") {
-                    parsed.surrogate_train = Some(
-                        parse_sweep_count(value)
-                            .map_err(|e| e.replace("--count", "--surrogate-train"))?,
-                    );
+                    parsed.surrogate_train = Some(parse_sweep_count(value, "--surrogate-train")?);
                 } else if let Some(value) = other.strip_prefix("--audit-rate=") {
                     parsed.audit_rate = Some(parse_audit_rate(value)?);
                 } else if let Some(value) = other.strip_prefix("--save-surrogate=") {
@@ -587,11 +563,11 @@ fn parse_count(value: &str, flag: &str) -> Result<usize, String> {
 
 /// Like [`parse_count`] but rejects zero: an empty sweep has nothing to report
 /// (whereas `--threads 0` legitimately means "auto").
-fn parse_sweep_count(value: &str) -> Result<usize, String> {
+fn parse_sweep_count(value: &str, flag: &str) -> Result<usize, String> {
     match value.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(format!(
-            "--count expects a positive integer, got '{value}'\n{}",
+            "{flag} expects a positive integer, got '{value}'\n{}",
             usage()
         )),
     }
@@ -638,14 +614,6 @@ fn load_cli_model(args: &CliArgs, path: &str) -> Result<Box<dyn autopower::Power
         ));
     }
     Ok(model)
-}
-
-/// Prints a streaming-sweep result: the resume-invariant report to stdout,
-/// the process-local diagnostics (cache hit rate, peak retained points) to
-/// stderr — so a resumed run's stdout is byte-identical to a one-shot run's.
-fn print_streaming(result: &StreamSweepResult) {
-    println!("{result}\n");
-    eprintln!("{}", result.diagnostics());
 }
 
 /// Trains or loads the `--surrogate` backend for a sweep verb (`None` when
@@ -710,89 +678,37 @@ fn run_one(experiments: &Experiments, name: &str, args: &CliArgs) -> Result<(), 
             ),
         },
         "ablation" => println!("{}\n", experiments.ablation_study()),
-        "sweep" if args.wants_streaming_sweep() => {
-            let scope = args.stream_scope();
-            let options = args.stream_options();
+        "sweep" | "pareto" => {
             let surrogate = acquire_surrogate(experiments, name, args)?;
-            let extras = StreamExtras {
-                surrogate: surrogate.as_ref().map(|s| SurrogateSpec {
-                    surrogate: s,
-                    audit_rate: args.effective_audit_rate(),
-                }),
-                constraints: ParetoConstraints::default(),
-            };
-            let result = match &args.load_model {
-                Some(path) => {
-                    let model = load_cli_model(args, path)?;
-                    experiments
-                        .streaming_sweep_loaded_opts(scope, model.as_ref(), &options, &extras)
-                        .map_err(err)?
-                }
-                None => experiments
-                    .streaming_sweep_opts(scope, args.model, &options, &extras)
-                    .map_err(err)?,
-            };
-            print_streaming(&result);
-        }
-        "sweep" => {
-            let surrogate = acquire_surrogate(experiments, name, args)?;
-            let spec = surrogate.as_ref().map(|s| SurrogateSpec {
-                surrogate: s,
-                audit_rate: args.effective_audit_rate(),
-            });
-            match (&args.load_model, spec) {
-                (Some(path), Some(spec)) => {
-                    let model = load_cli_model(args, path)?;
-                    println!(
-                        "{}\n",
-                        experiments
-                            .design_space_sweep_loaded_surrogate(args.count, model.as_ref(), spec)
-                            .map_err(err)?
-                    );
-                }
-                (Some(path), None) => {
-                    let model = load_cli_model(args, path)?;
-                    println!(
-                        "{}\n",
-                        experiments.design_space_sweep_loaded(args.count, model.as_ref())
-                    );
-                }
-                (None, Some(spec)) => println!(
-                    "{}\n",
-                    experiments
-                        .design_space_sweep_surrogate(args.count, args.model, spec)
-                        .map_err(err)?
-                ),
-                (None, None) => println!(
-                    "{}\n",
-                    experiments
-                        .design_space_sweep_model(args.count, args.model)
-                        .map_err(err)?
-                ),
-            }
-        }
-        "pareto" => {
-            let scope = args.stream_scope();
-            let surrogate = acquire_surrogate(experiments, name, args)?;
-            let extras = StreamExtras {
+            let loaded = args
+                .load_model
+                .as_deref()
+                .map(|path| load_cli_model(args, path))
+                .transpose()?;
+            let request = SweepRequest {
+                model: match &loaded {
+                    Some(model) => ModelSource::Loaded(model.as_ref()),
+                    None => ModelSource::Train(args.model),
+                },
+                scope: args.stream_scope(),
                 surrogate: surrogate.as_ref().map(|s| SurrogateSpec {
                     surrogate: s,
                     audit_rate: args.effective_audit_rate(),
                 }),
                 constraints: args.constraints(),
+                checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
+                resume: args.resume,
+                max_chunks: args.max_chunks,
             };
-            let result = match &args.load_model {
-                Some(path) => {
-                    let model = load_cli_model(args, path)?;
-                    experiments
-                        .pareto_frontier_loaded_opts(scope, model.as_ref(), &extras)
-                        .map_err(err)?
-                }
-                None => experiments
-                    .pareto_frontier_opts(scope, args.model, &extras)
-                    .map_err(err)?,
-            };
-            println!("{result}\n");
+            let result = experiments.sweep(&request).map_err(err)?;
+            // The resume-invariant report goes to stdout, the process-local
+            // diagnostics (cache hit rate, peak retained points) to stderr —
+            // so a resumed run's stdout is byte-identical to a one-shot run's.
+            if name == "pareto" {
+                println!("{}\n", result.pareto_report());
+            } else {
+                println!("{result}\n");
+            }
             eprintln!("{}", result.diagnostics());
         }
         "xval" => println!(
@@ -1044,7 +960,6 @@ mod tests {
         assert_eq!(parsed.chunk, 32);
         assert_eq!(parsed.checkpoint.as_deref(), Some("/tmp/s.ckpt"));
         assert_eq!(parsed.max_chunks, 2);
-        assert!(parsed.wants_streaming_sweep());
         assert_eq!(parsed.stream_scope(), StreamScope::Sampled(parsed.count));
 
         let parsed = parse_args(args(&[
@@ -1056,21 +971,24 @@ mod tests {
         .expect("valid arguments");
         assert_eq!(parsed.chunk, 16);
         assert!(parsed.resume);
-        assert!(parsed.wants_streaming_sweep());
-        let options = parsed.stream_options();
-        assert!(options.resume);
-        assert_eq!(options.checkpoint.as_deref(), Some("/tmp/s.ckpt".as_ref()));
-
-        // A plain sweep still materializes.
-        let plain = parse_args(args(&["sweep"])).expect("valid arguments");
-        assert!(!plain.wants_streaming_sweep());
+        assert_eq!(parsed.checkpoint.as_deref(), Some("/tmp/s.ckpt"));
 
         // Bad values fail with the right flag named.
         assert!(parse_args(args(&["sweep", "--chunk"])).is_err());
-        let e = parse_args(args(&["sweep", "--chunk", "0"])).unwrap_err();
-        assert!(e.contains("--chunk"));
         let e = parse_args(args(&["sweep", "--checkpoint=c", "--max-chunks=0"])).unwrap_err();
-        assert!(e.contains("--max-chunks"));
+        assert!(e.contains("--max-chunks expects"), "got: {e}");
+    }
+
+    #[test]
+    fn bad_flag_values_name_their_flag_and_keep_the_usage_text_intact() {
+        let e = parse_args(args(&["sweep", "--chunk", "0"])).unwrap_err();
+        assert!(
+            e.starts_with("--chunk expects a positive integer"),
+            "got: {e}"
+        );
+        // The appended usage text is not rewritten along with the flag name.
+        assert!(e.contains("[--count N]"), "got: {e}");
+        assert!(e.contains("instead of --count"), "got: {e}");
     }
 
     #[test]
@@ -1078,7 +996,6 @@ mod tests {
         let parsed = parse_args(args(&["sweep", "--full"])).expect("valid arguments");
         assert!(parsed.full);
         assert_eq!(parsed.stream_scope(), StreamScope::Full);
-        assert!(parsed.wants_streaming_sweep());
         let parsed = parse_args(args(&["pareto", "--full"])).expect("valid arguments");
         assert_eq!(parsed.stream_scope(), StreamScope::Full);
         let err = parse_args(args(&["sweep", "--full", "--count", "64"])).unwrap_err();

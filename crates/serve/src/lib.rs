@@ -16,8 +16,8 @@
 //!
 //! For **any** request batch size, connection count, worker thread count and
 //! batching-knob setting, a served prediction is bit-identical to the offline
-//! `predict_batch` path ([`SweepEngine::run`](autopower::SweepEngine::run)) on
-//! the same loaded model file.  Three pinned invariants make that composable:
+//! sweep path ([`SweepEngine::run`](autopower::SweepEngine::run)) on the same
+//! loaded model file.  Three pinned invariants make that composable:
 //!
 //! 1. The sweep engine is bit-identical across thread counts, chunk sizes and
 //!    simulation-cache settings (pinned since PR 2/6), so *where* a point is

@@ -3,8 +3,10 @@
 //! bit-identical results for every worker-thread count.
 
 use autopower_repro::config::{DesignSpace, Workload};
-use autopower_repro::experiments::{ExperimentSettings, Experiments};
-use autopower_repro::model::{AutoPower, Corpus, CorpusSpec, SweepEngine, SweepSpec};
+use autopower_repro::experiments::{
+    ExperimentSettings, Experiments, ModelSource, StreamScope, SweepRequest,
+};
+use autopower_repro::model::{AutoPower, Corpus, CorpusSpec, ModelKind, SweepEngine, SweepSpec};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -49,18 +51,28 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance criterion: a fast sweep over 200 generated
-/// configurations succeeds, touches no seed, and prints the same report for
-/// any `--threads` value.
+/// A fast sweep over 200 generated configurations succeeds, ranks no seed
+/// among its best configurations, and folds the same aggregate (and so prints
+/// the same report) for any `--threads` value.
 #[test]
 fn fast_sweep_explores_200_generated_configs_identically_across_threads() {
+    let request = SweepRequest::new(
+        ModelSource::Train(ModelKind::AutoPower),
+        StreamScope::Sampled(200),
+    );
     let run = |threads: usize| {
-        Experiments::new(ExperimentSettings::fast().with_threads(threads)).design_space_sweep(200)
+        Experiments::new(ExperimentSettings::fast().with_threads(threads))
+            .sweep(&request)
+            .expect("exact sweeps succeed")
     };
     let serial = run(1);
-    assert_eq!(serial.summaries.len(), 200);
-    assert!(serial.summaries.iter().all(|s| !s.config.id.is_seed()));
+    assert!(serial.complete);
+    assert_eq!(serial.streamed, 200);
+    assert_eq!(serial.aggregator.configs_folded(), 200);
+    let top = serial.aggregator.top();
+    assert!(!top.is_empty());
+    assert!(top.iter().all(|s| !s.config.id.is_seed()));
     let parallel = run(8);
-    assert_eq!(serial.summaries, parallel.summaries);
+    assert_eq!(serial.aggregator, parallel.aggregator);
     assert_eq!(serial.to_string(), parallel.to_string());
 }

@@ -142,7 +142,7 @@ fn mcpat_calib_component_trait_totals_are_bit_identical_to_inherent() {
 }
 
 #[test]
-fn sweep_engine_under_dyn_autopower_matches_predict_batch() {
+fn sweep_engine_under_dyn_autopower_matches_the_inherent_model() {
     let c = corpus();
     let inherent = AutoPower::train(&c, &train_ids()).unwrap();
     let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
@@ -150,9 +150,9 @@ fn sweep_engine_under_dyn_autopower_matches_predict_batch() {
     let workloads = [Workload::Dhrystone, Workload::Vvadd];
     let spec = SweepSpec::fast().threads(1);
     // The default AutoPower sweep path is bit-identical before and after the
-    // trait refactor: `predict_batch` (inherent convenience) and a
-    // `SweepEngine` over the boxed trait object score the same points.
-    let via_inherent = inherent.predict_batch(&configs, &workloads, &spec);
+    // trait refactor: an engine over the inherent model and one over the
+    // boxed trait object score the same points.
+    let via_inherent = SweepEngine::new(&inherent, spec).run(&configs, &workloads);
     let via_trait = SweepEngine::new(boxed.as_ref(), spec).run(&configs, &workloads);
     assert_eq!(via_inherent, via_trait);
 }
