@@ -1,34 +1,44 @@
-//! A minimal self-describing text codec for trained-model persistence.
+//! A minimal self-describing binary codec for trained-model persistence.
 //!
 //! The workspace cannot reach crates.io, so instead of `serde` + a format
 //! crate this module provides the small substrate the model save/load path
-//! needs: a line-oriented writer/reader pair plus the [`Codec`] trait the
-//! model types implement.  Design goals, in order:
+//! needs: a writer/reader pair plus the [`Codec`] trait the model types
+//! implement.  Design goals, in order:
 //!
-//! 1. **Bit-exact round trips** — every `f64` is stored as the 16-hex-digit
-//!    big-endian form of its IEEE-754 bits, so `decode(encode(x)) == x` bit
-//!    for bit (a human-readable decimal rendering rides along as a comment).
-//! 2. **Self-describing** — values are named and nested in `tag { ... }`
-//!    scopes, so a mismatched field fails loudly with the line number instead
-//!    of silently shifting every following value.
+//! 1. **Bit-exact round trips** — every `f64` is stored as its exact IEEE-754
+//!    bits, so `decode(encode(x)) == x` bit for bit.
+//! 2. **Self-describing** — values are named and nested in scopes, so a
+//!    mismatched field fails loudly with its byte offset instead of silently
+//!    shifting every following value.
 //! 3. **Deterministic output** — the same value always encodes to the same
-//!    text, making golden tests and drift detection trivial.
+//!    bytes, making golden tests and drift detection byte comparisons.
+//! 4. **Cheap to load** — a trained model is loaded far more often than it is
+//!    trained, so decoding reads fixed-width fields in place: no tokenizing,
+//!    no number parsing, no per-record allocation.
 //!
 //! # Format
 //!
 //! ```text
-//! ridge {
-//!   alpha 3F847AE147AE147B ; 0.01
-//!   coefficients {
-//!     len 2
-//!     v 4000000000000000 ; 2
-//!     v 3FE0000000000000 ; 0.5
-//!   }
-//! }
+//! magic     89 'A' 'P' 'B' 0D 0A 1A 0A       8 bytes
+//! records   kind:u8  name_len:u8  name  value
+//! trailer   checksum of magic + records      u64, little-endian
 //! ```
 //!
-//! Everything after `;` on a line is a comment; names and string values are
-//! whitespace-free tokens.
+//! | kind | record           | value                                        |
+//! |------|------------------|----------------------------------------------|
+//! | 1    | scope begin      | none                                         |
+//! | 2    | scope end        | none (and no name)                           |
+//! | 3    | `f64`            | IEEE-754 bits, `u64` little-endian           |
+//! | 4    | `u64`            | `u64` little-endian                          |
+//! | 5    | `bool`           | one byte, 0 or 1                             |
+//! | 6    | string           | `u32` little-endian byte length, then UTF-8  |
+//! | 7    | packed `f64` run | `u64` count, then each value's bits          |
+//!
+//! A list ([`Writer::begin_list`]) is a scope whose first record is a `u64`
+//! named `len`.  The magic's high byte, CR LF and ^Z make a file mangled by a
+//! text-mode transfer fail the magic check rather than decode; the checksum
+//! is verified before any record is read, so a torn or bit-flipped file fails
+//! as a whole instead of decoding a damaged prefix.
 
 use std::error::Error;
 use std::fmt;
@@ -48,24 +58,24 @@ pub trait Codec: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
 
-/// A malformed or mismatched stream, with the 1-based line it was detected on.
+/// A malformed or mismatched stream, with the byte offset it was detected at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError {
-    /// 1-based line number of the offending line (0 = end of input).
-    pub line: usize,
+    /// Byte offset into the stream (from the start of the magic).
+    pub offset: usize,
     /// What went wrong.
     pub message: String,
 }
 
 impl CodecError {
-    /// Creates an error anchored to a 1-based line number (0 = end of input).
+    /// Creates an error anchored to a byte offset.
     ///
     /// Decoders reporting a *semantic* failure (bad count, unknown name,
-    /// validation) should anchor it to [`Reader::line`] so the message points
-    /// at the offending content instead of claiming truncation.
-    pub fn new(line: usize, message: impl Into<String>) -> Self {
+    /// validation) should anchor it to [`Reader::offset`] so the message
+    /// points at the offending content instead of claiming truncation.
+    pub fn new(offset: usize, message: impl Into<String>) -> Self {
         Self {
-            line,
+            offset,
             message: message.into(),
         }
     }
@@ -73,52 +83,94 @@ impl CodecError {
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "unexpected end of input: {}", self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
+        write!(f, "byte {}: {}", self.offset, self.message)
     }
 }
 
 impl Error for CodecError {}
 
-fn valid_token(token: &str) -> bool {
-    !token.is_empty()
-        && !token
-            .chars()
-            .any(|c| c.is_whitespace() || c == '{' || c == '}' || c == ';')
+/// The 8 bytes every stream starts with.
+const MAGIC: [u8; 8] = [0x89, b'A', b'P', b'B', b'\r', b'\n', 0x1A, b'\n'];
+
+/// Bytes of the checksum trailer.
+const TRAILER: usize = 8;
+
+const BEGIN: u8 = 1;
+const END: u8 = 2;
+const F64: u8 = 3;
+const U64: u8 = 4;
+const BOOL: u8 = 5;
+const STR: u8 = 6;
+const F64_SEQ: u8 = 7;
+
+/// Whether `bytes` starts with the codec's magic — the cheap test that tells
+/// a stream of this encoding from any other file (e.g. an older text one).
+pub fn has_magic(bytes: &[u8]) -> bool {
+    bytes.starts_with(&MAGIC)
 }
 
-/// Serialises named scalars into nested `tag { ... }` scopes.
-#[derive(Debug, Default)]
+/// Word-at-a-time multiply/xor-shift hash of `bytes`.  Every step is a
+/// bijection of the running state, so any single changed word changes the
+/// result; the length seeds the state, so truncation and insertion do too.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = 0xCBF2_9CE4_8422_2325 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8 bytes");
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        h ^= h >> 32;
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    h ^ (h >> 32)
+}
+
+/// Serialises named scalars into nested scopes.
+#[derive(Debug)]
 pub struct Writer {
-    out: String,
+    out: Vec<u8>,
     depth: usize,
 }
 
+impl Default for Writer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Writer {
-    /// Creates an empty writer.
+    /// Creates a writer holding just the magic.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            out: MAGIC.to_vec(),
+            depth: 0,
+        }
     }
 
-    fn line(&mut self, content: &str) {
-        for _ in 0..self.depth {
-            self.out.push_str("  ");
-        }
-        self.out.push_str(content);
-        self.out.push('\n');
+    /// Writes a record's kind byte and length-prefixed name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is empty or longer than 255 bytes.
+    fn head(&mut self, kind: u8, name: &str) {
+        let len = u8::try_from(name.len())
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| panic!("invalid record name {name:?}"));
+        self.out.push(kind);
+        self.out.push(len);
+        self.out.extend_from_slice(name.as_bytes());
     }
 
     /// Opens a named scope.
     ///
     /// # Panics
     ///
-    /// Panics if `tag` is not a whitespace-free token.
+    /// Panics if `tag` is empty or longer than 255 bytes.
     pub fn begin(&mut self, tag: &str) {
-        assert!(valid_token(tag), "invalid scope tag {tag:?}");
-        self.line(&format!("{tag} {{"));
+        self.head(BEGIN, tag);
         self.depth += 1;
     }
 
@@ -130,48 +182,50 @@ impl Writer {
     pub fn end(&mut self) {
         assert!(self.depth > 0, "end() without a matching begin()");
         self.depth -= 1;
-        self.line("}");
+        self.out.push(END);
     }
 
-    /// Writes an `f64` as its exact IEEE-754 bits plus a readable comment.
+    /// Writes an `f64` as its exact IEEE-754 bits.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a whitespace-free token.
+    /// Panics if `name` is empty or longer than 255 bytes.
     pub fn f64(&mut self, name: &str, value: f64) {
-        assert!(valid_token(name), "invalid field name {name:?}");
-        self.line(&format!("{name} {:016X} ; {value}", value.to_bits()));
+        self.head(F64, name);
+        self.out.extend_from_slice(&value.to_bits().to_le_bytes());
     }
 
     /// Writes a `u64`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a whitespace-free token.
+    /// Panics if `name` is empty or longer than 255 bytes.
     pub fn u64(&mut self, name: &str, value: u64) {
-        assert!(valid_token(name), "invalid field name {name:?}");
-        self.line(&format!("{name} {value}"));
+        self.head(U64, name);
+        self.out.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Writes a `bool`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a whitespace-free token.
+    /// Panics if `name` is empty or longer than 255 bytes.
     pub fn bool(&mut self, name: &str, value: bool) {
-        assert!(valid_token(name), "invalid field name {name:?}");
-        self.line(&format!("{name} {value}"));
+        self.head(BOOL, name);
+        self.out.push(u8::from(value));
     }
 
-    /// Writes a whitespace-free string token.
+    /// Writes a string.
     ///
     /// # Panics
     ///
-    /// Panics if `name` or `value` is not a whitespace-free token.
+    /// Panics if `name` is empty or longer than 255 bytes, or `value` is
+    /// longer than `u32::MAX` bytes.
     pub fn str(&mut self, name: &str, value: &str) {
-        assert!(valid_token(name), "invalid field name {name:?}");
-        assert!(valid_token(value), "invalid string value {value:?}");
-        self.line(&format!("{name} {value}"));
+        self.head(STR, name);
+        let len = u32::try_from(value.len()).expect("string value longer than u32::MAX bytes");
+        self.out.extend_from_slice(&len.to_le_bytes());
+        self.out.extend_from_slice(value.as_bytes());
     }
 
     /// Opens a scope that carries a `len` field — the conventional list shape.
@@ -180,22 +234,25 @@ impl Writer {
         self.u64("len", len as u64);
     }
 
-    /// Writes a whole `f64` slice as one list scope (element lines named `v`).
+    /// Writes a whole `f64` slice as one packed record.
     pub fn f64_seq(&mut self, tag: &str, values: &[f64]) {
-        self.begin_list(tag, values.len());
-        for &v in values {
-            self.f64("v", v);
+        self.head(F64_SEQ, tag);
+        self.out
+            .extend_from_slice(&(values.len() as u64).to_le_bytes());
+        for v in values {
+            self.out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        self.end();
     }
 
-    /// Finishes the stream and returns the text.
+    /// Finishes the stream: appends the checksum trailer and returns the bytes.
     ///
     /// # Panics
     ///
     /// Panics if a scope is still open.
-    pub fn finish(self) -> String {
+    pub fn finish(mut self) -> Vec<u8> {
         assert_eq!(self.depth, 0, "finish() with {} open scope(s)", self.depth);
+        let sum = checksum(&self.out);
+        self.out.extend_from_slice(&sum.to_le_bytes());
         self.out
     }
 }
@@ -203,94 +260,148 @@ impl Writer {
 /// Reads the stream a [`Writer`] produced.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    lines: Vec<&'a str>,
+    bytes: &'a [u8],
     pos: usize,
+    /// Start of the checksum trailer: records live in `MAGIC.len()..end`.
+    end: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps a stream; blank and comment-only lines are skipped.
-    pub fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .map(|l| l.split(';').next().unwrap_or("").trim())
-            .collect();
-        Self { lines, pos: 0 }
-    }
-
-    /// Consumes the next non-empty line as `(line_number, tokens)`.
-    fn next_tokens(&mut self) -> Result<(usize, Vec<&'a str>), CodecError> {
-        while self.pos < self.lines.len() {
-            self.pos += 1;
-            let line = self.lines[self.pos - 1];
-            if !line.is_empty() {
-                return Ok((self.pos, line.split_whitespace().collect()));
-            }
-        }
-        Err(CodecError::new(0, "no more lines".to_owned()))
-    }
-
-    fn field(&mut self, name: &str) -> Result<(usize, &'a str), CodecError> {
-        let (line, tokens) = self.next_tokens()?;
-        match tokens.as_slice() {
-            [found, value] if *found == name => Ok((line, value)),
-            [found, _] => Err(CodecError::new(
-                line,
-                format!("expected field '{name}', found '{found}'"),
-            )),
-            _ => Err(CodecError::new(
-                line,
-                format!("expected field '{name}', found a non-field line"),
-            )),
-        }
-    }
-
-    /// Expects `tag {`.
+    /// Opens a stream, verifying its magic and checksum before any record is
+    /// read.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the next line is not the expected scope.
-    pub fn begin(&mut self, tag: &str) -> Result<(), CodecError> {
-        let (line, tokens) = self.next_tokens()?;
-        if tokens.as_slice() == [tag, "{"] {
+    /// Returns a [`CodecError`] if the stream does not start with the magic
+    /// (see [`has_magic`]), is too short to hold the trailer, or fails its
+    /// checksum (a torn or corrupted stream).
+    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        if !has_magic(bytes) {
+            return Err(CodecError::new(0, "not a binary codec stream (bad magic)"));
+        }
+        let Some(end) = bytes
+            .len()
+            .checked_sub(TRAILER)
+            .filter(|&end| end >= MAGIC.len())
+        else {
+            return Err(CodecError::new(
+                bytes.len(),
+                "unexpected end of input: no checksum trailer",
+            ));
+        };
+        let stored = u64::from_le_bytes(bytes[end..].try_into().expect("8-byte trailer"));
+        if stored != checksum(&bytes[..end]) {
+            return Err(CodecError::new(
+                end,
+                "checksum mismatch (torn or corrupted stream)",
+            ));
+        }
+        Ok(Self {
+            bytes,
+            pos: MAGIC.len(),
+            end,
+        })
+    }
+
+    /// Consumes the next `n` bytes, or `None` if fewer remain.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.end - self.pos < n {
+            return None;
+        }
+        let taken = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Some(taken)
+    }
+
+    /// Consumes a record head of `kind` named `name` if it is next; leaves
+    /// the position untouched otherwise.  Allocation-free on both outcomes.
+    fn eat_head(&mut self, kind: u8, name: &str) -> bool {
+        let name = name.as_bytes();
+        let head = 2 + name.len();
+        let matched = self.end - self.pos >= head && {
+            let b = &self.bytes[self.pos..self.pos + head];
+            b[0] == kind && usize::from(b[1]) == name.len() && &b[2..] == name
+        };
+        if matched {
+            self.pos += head;
+        }
+        matched
+    }
+
+    /// Describes the record at the current position (error path only).
+    fn found(&self) -> String {
+        let rest = &self.bytes[self.pos..self.end];
+        let name = || {
+            rest.get(1)
+                .and_then(|&len| rest.get(2..2 + usize::from(len)))
+                .map_or_else(
+                    || "<truncated>".to_owned(),
+                    |n| String::from_utf8_lossy(n).into_owned(),
+                )
+        };
+        match rest.first() {
+            None => "end of input".to_owned(),
+            Some(&END) => "scope end".to_owned(),
+            Some(&BEGIN) => format!("scope '{}'", name()),
+            Some(&(F64..=F64_SEQ)) => format!("field '{}'", name()),
+            Some(&kind) => format!("unknown record kind {kind}"),
+        }
+    }
+
+    fn expect_head(&mut self, kind: u8, what: &str, name: &str) -> Result<(), CodecError> {
+        if self.eat_head(kind, name) {
             Ok(())
         } else {
             Err(CodecError::new(
-                line,
-                format!("expected scope '{tag} {{', found '{}'", tokens.join(" ")),
+                self.pos,
+                format!("expected {what} '{name}', found {}", self.found()),
             ))
         }
     }
 
-    /// Like [`Reader::begin`], but on a mismatch rewinds instead of erroring,
-    /// so the caller can try another shape (used for enum-like payloads).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] only at end of input.
-    pub fn try_begin(&mut self, tag: &str) -> Result<bool, CodecError> {
-        let saved = self.pos;
-        let (_, tokens) = self.next_tokens()?;
-        if tokens.as_slice() == [tag, "{"] {
-            Ok(true)
-        } else {
-            self.pos = saved;
-            Ok(false)
-        }
+    /// Consumes the `N`-byte value of field `name`, whose head was just read.
+    fn value<const N: usize>(&mut self, name: &str) -> Result<[u8; N], CodecError> {
+        let at = self.pos;
+        self.take(N)
+            .map(|b| b.try_into().expect("take returns N bytes"))
+            .ok_or_else(|| {
+                CodecError::new(
+                    at,
+                    format!("unexpected end of input in the value of '{name}'"),
+                )
+            })
     }
 
-    /// Expects the closing `}` of a scope.
+    /// Expects the opening of scope `tag`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the next line is not a scope end.
+    /// Returns a [`CodecError`] if the next record is not the expected scope.
+    pub fn begin(&mut self, tag: &str) -> Result<(), CodecError> {
+        self.expect_head(BEGIN, "scope", tag)
+    }
+
+    /// Like [`Reader::begin`], but on a mismatch — another scope, a field, a
+    /// scope end or the end of input — consumes nothing and returns `false`,
+    /// so the caller can try another shape (enum-like payloads, optional
+    /// trailing sections).
+    pub fn try_begin(&mut self, tag: &str) -> bool {
+        self.eat_head(BEGIN, tag)
+    }
+
+    /// Expects the end of the innermost scope.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the next record is not a scope end.
     pub fn end(&mut self) -> Result<(), CodecError> {
-        let (line, tokens) = self.next_tokens()?;
-        if tokens.as_slice() == ["}"] {
+        if self.pos < self.end && self.bytes[self.pos] == END {
+            self.pos += 1;
             Ok(())
         } else {
             Err(CodecError::new(
-                line,
-                format!("expected '}}', found '{}'", tokens.join(" ")),
+                self.pos,
+                format!("expected scope end, found {}", self.found()),
             ))
         }
     }
@@ -299,110 +410,131 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on a name mismatch or malformed bits.
+    /// Returns a [`CodecError`] on a name or kind mismatch or an early end.
     pub fn f64(&mut self, name: &str) -> Result<f64, CodecError> {
-        let (line, value) = self.field(name)?;
-        if value.len() != 16 {
-            return Err(CodecError::new(
-                line,
-                format!("field '{name}': expected 16 hex digits, found '{value}'"),
-            ));
-        }
-        u64::from_str_radix(value, 16)
-            .map(f64::from_bits)
-            .map_err(|_| CodecError::new(line, format!("field '{name}': malformed bits '{value}'")))
+        self.expect_head(F64, "f64 field", name)?;
+        Ok(f64::from_le_bytes(self.value(name)?))
     }
 
     /// Reads a named `u64`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on a name mismatch or malformed integer.
+    /// Returns a [`CodecError`] on a name or kind mismatch or an early end.
     pub fn u64(&mut self, name: &str) -> Result<u64, CodecError> {
-        let (line, value) = self.field(name)?;
-        value.parse().map_err(|_| {
-            CodecError::new(line, format!("field '{name}': malformed integer '{value}'"))
-        })
+        self.expect_head(U64, "u64 field", name)?;
+        Ok(u64::from_le_bytes(self.value(name)?))
     }
 
     /// Reads a named `bool`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on a name mismatch or a non-boolean value.
+    /// Returns a [`CodecError`] on a name or kind mismatch or a byte other
+    /// than 0 or 1.
     pub fn bool(&mut self, name: &str) -> Result<bool, CodecError> {
-        let (line, value) = self.field(name)?;
-        match value {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(CodecError::new(
-                line,
-                format!("field '{name}': expected true/false, found '{other}'"),
+        self.expect_head(BOOL, "bool field", name)?;
+        let at = self.pos;
+        match self.value::<1>(name)? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [other] => Err(CodecError::new(
+                at,
+                format!("field '{name}': expected 0 or 1, found {other}"),
             )),
         }
     }
 
-    /// Reads a named string token.
+    /// Reads a named string.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on a name mismatch.
+    /// Returns a [`CodecError`] on a name or kind mismatch, an early end, or
+    /// invalid UTF-8.
     pub fn str(&mut self, name: &str) -> Result<&'a str, CodecError> {
-        Ok(self.field(name)?.1)
+        self.expect_head(STR, "string field", name)?;
+        let len = u32::from_le_bytes(self.value(name)?) as usize;
+        let at = self.pos;
+        let bytes = self.take(len).ok_or_else(|| {
+            CodecError::new(
+                at,
+                format!("field '{name}': string of {len} bytes overruns the input"),
+            )
+        })?;
+        std::str::from_utf8(bytes)
+            .map_err(|_| CodecError::new(at, format!("field '{name}': invalid UTF-8")))
     }
 
-    /// Opens a list scope and returns its declared length.
+    /// Checks a declared element count against the bytes left: every element
+    /// takes at least `min_bytes`, so a larger count is corrupt and must fail
+    /// here, before a caller sizes an allocation by it.
+    fn bounded_len(&self, tag: &str, len: u64, min_bytes: usize) -> Result<usize, CodecError> {
+        let room = (self.end - self.pos) / min_bytes;
+        usize::try_from(len)
+            .ok()
+            .filter(|&n| n <= room)
+            .ok_or_else(|| {
+                CodecError::new(
+                    self.pos,
+                    format!(
+                        "'{tag}' declares {len} element(s) but the {} remaining byte(s) \
+                         hold at most {room}",
+                        self.end - self.pos
+                    ),
+                )
+            })
+    }
+
+    /// Opens a list scope and returns its declared length, which is
+    /// guaranteed not to exceed the number of bytes left in the stream.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the scope or its `len` field is missing.
+    /// Returns a [`CodecError`] if the scope or its `len` field is missing,
+    /// or the length is larger than the rest of the stream could hold.
     pub fn begin_list(&mut self, tag: &str) -> Result<usize, CodecError> {
         self.begin(tag)?;
-        Ok(self.u64("len")? as usize)
+        let len = self.u64("len")?;
+        self.bounded_len(tag, len, 1)
     }
 
-    /// Reads back an [`Writer::f64_seq`] list.
+    /// Reads back an [`Writer::f64_seq`] record.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the list shape does not match.
+    /// Returns a [`CodecError`] on a tag or kind mismatch, or a count larger
+    /// than the rest of the stream could hold.
     pub fn f64_seq(&mut self, tag: &str) -> Result<Vec<f64>, CodecError> {
-        let len = self.begin_list(tag)?;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(self.f64("v")?);
-        }
-        self.end()?;
-        Ok(values)
+        self.expect_head(F64_SEQ, "f64 sequence", tag)?;
+        let count = u64::from_le_bytes(self.value(tag)?);
+        let count = self.bounded_len(tag, count, 8)?;
+        let bytes = self.take(count * 8).expect("bounded_len checked the room");
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
     }
 
-    /// The 1-based number of the most recently consumed line (0 before the
-    /// first read) — the anchor for semantic decode errors
+    /// The byte offset of the next unread record (the end of the last one
+    /// consumed) — the anchor for semantic decode errors
     /// ([`CodecError::new`]).
-    pub fn line(&self) -> usize {
+    pub fn offset(&self) -> usize {
         self.pos
     }
 
-    /// The number of unread non-empty lines (0 when fully consumed).
-    pub fn remaining(&self) -> usize {
-        self.lines[self.pos..]
-            .iter()
-            .filter(|l| !l.is_empty())
-            .count()
-    }
-
-    /// Fails unless the whole stream has been consumed.
+    /// Fails unless every record has been consumed.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] naming the first trailing line.
+    /// Returns a [`CodecError`] naming the first trailing record.
     pub fn expect_eof(&mut self) -> Result<(), CodecError> {
-        match self.next_tokens() {
-            Err(_) => Ok(()),
-            Ok((line, tokens)) => Err(CodecError::new(
-                line,
-                format!("trailing content '{}'", tokens.join(" ")),
-            )),
+        if self.pos == self.end {
+            Ok(())
+        } else {
+            Err(CodecError::new(
+                self.pos,
+                format!("trailing content: {}", self.found()),
+            ))
         }
     }
 }
@@ -431,9 +563,10 @@ mod tests {
         w.u64("n", u64::MAX);
         w.bool("b", true);
         w.str("name", "mcpat-calib");
+        w.str("empty", "");
         w.end();
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
         r.begin("s").unwrap();
         for v in values {
             assert_eq!(r.f64("x").unwrap().to_bits(), v.to_bits());
@@ -441,6 +574,7 @@ mod tests {
         assert_eq!(r.u64("n").unwrap(), u64::MAX);
         assert!(r.bool("b").unwrap());
         assert_eq!(r.str("name").unwrap(), "mcpat-calib");
+        assert_eq!(r.str("empty").unwrap(), "");
         r.end().unwrap();
         r.expect_eof().unwrap();
     }
@@ -449,64 +583,152 @@ mod tests {
     fn f64_seq_round_trips() {
         let mut w = Writer::new();
         w.f64_seq("coeffs", &[1.0, f64::NAN, -2.5]);
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        w.f64_seq("none", &[]);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
         let back = r.f64_seq("coeffs").unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(back[0], 1.0);
         assert!(back[1].is_nan());
         assert_eq!(back[2], -2.5);
+        assert!(r.f64_seq("none").unwrap().is_empty());
+        r.expect_eof().unwrap();
     }
 
     #[test]
-    fn mismatches_fail_with_line_numbers() {
+    fn mismatches_fail_with_byte_offsets() {
         let mut w = Writer::new();
         w.begin("model");
         w.f64("alpha", 1.0);
         w.end();
-        let text = w.finish();
+        let bytes = w.finish();
+        // The first record starts right after the magic; the field right
+        // after the 7-byte `model` scope head.
+        let field_at = MAGIC.len() + 2 + "model".len();
 
-        let mut r = Reader::new(&text);
+        let mut r = Reader::new(&bytes).unwrap();
         let err = r.begin("other").unwrap_err();
-        assert_eq!(err.line, 1);
+        assert_eq!(err.offset, MAGIC.len());
         assert!(err.to_string().contains("other"));
+        assert!(err.to_string().contains("scope 'model'"));
 
-        let mut r = Reader::new(&text);
+        let mut r = Reader::new(&bytes).unwrap();
         r.begin("model").unwrap();
         let err = r.f64("beta").unwrap_err();
-        assert_eq!(err.line, 2);
+        assert_eq!(err.offset, field_at);
+        assert!(err.to_string().contains(&format!("byte {field_at}")));
         assert!(err.to_string().contains("beta"));
         assert!(err.to_string().contains("alpha"));
 
-        let mut r = Reader::new("model {\n  alpha deadbeef ; short\n}\n");
+        // Right name, wrong kind.
+        let mut r = Reader::new(&bytes).unwrap();
         r.begin("model").unwrap();
-        assert!(r.f64("alpha").is_err());
+        assert!(r.u64("alpha").is_err());
+        assert_eq!(r.f64("alpha").unwrap(), 1.0);
     }
 
     #[test]
-    fn comments_and_blank_lines_are_skipped() {
-        let text = "\n; pure comment\nmodel {\n\n  n 7 ; seven\n}\n";
-        let mut r = Reader::new(text);
-        r.begin("model").unwrap();
-        assert_eq!(r.u64("n").unwrap(), 7);
-        r.end().unwrap();
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn truncated_input_reports_eof() {
-        let mut r = Reader::new("model {\n");
-        r.begin("model").unwrap();
-        let err = r.end().unwrap_err();
-        assert_eq!(err.line, 0);
-        assert!(err.to_string().contains("end of input"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid string value")]
-    fn whitespace_in_string_values_is_rejected() {
+    fn early_ends_are_reported_as_such() {
         let mut w = Writer::new();
-        w.str("name", "two words");
+        w.begin("model");
+        w.end();
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
+        r.begin("model").unwrap();
+        let err = r.u64("n").unwrap_err();
+        assert!(err.to_string().contains("found scope end"), "{err}");
+        r.end().unwrap();
+        let err = r.end().unwrap_err();
+        assert!(err.to_string().contains("end of input"), "{err}");
+    }
+
+    #[test]
+    fn try_begin_rewinds_on_every_kind_of_mismatch() {
+        let mut w = Writer::new();
+        w.begin("outer");
+        w.begin("leaf");
+        w.end();
+        w.u64("n", 3);
+        w.end();
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
+        assert!(!r.try_begin("leaf"), "another scope is next");
+        assert!(r.try_begin("outer"));
+        assert!(!r.try_begin("split"), "same kind, other name");
+        assert!(r.try_begin("leaf"));
+        assert!(!r.try_begin("leaf"), "a scope end is next");
+        r.end().unwrap();
+        assert!(!r.try_begin("n"), "a field is next");
+        assert_eq!(r.u64("n").unwrap(), 3);
+        r.end().unwrap();
+        assert!(!r.try_begin("leaf"), "the stream has ended");
+        r.expect_eof().unwrap();
+    }
+
+    #[test]
+    fn declared_lengths_beyond_the_input_are_rejected() {
+        // A list claiming far more elements than bytes remain.
+        let mut w = Writer::new();
+        w.begin("trees");
+        w.u64("len", u64::MAX >> 4);
+        w.end();
+        let bytes = w.finish();
+        let err = Reader::new(&bytes)
+            .unwrap()
+            .begin_list("trees")
+            .unwrap_err();
+        assert!(err.to_string().contains("declares"), "{err}");
+
+        // A packed run whose count overruns the bytes that follow.
+        let mut w = Writer::new();
+        w.f64_seq("v", &[1.0, 2.0]);
+        let mut bytes = w.finish();
+        let count_at = MAGIC.len() + 2 + 1;
+        bytes[count_at..count_at + 8].copy_from_slice(&3u64.to_le_bytes());
+        let end = bytes.len() - TRAILER;
+        let sum = checksum(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        assert!(Reader::new(&bytes).unwrap().f64_seq("v").is_err());
+    }
+
+    #[test]
+    fn every_flipped_or_truncated_byte_fails_the_open() {
+        let mut w = Writer::new();
+        w.begin("model");
+        w.f64_seq("coeffs", &[1.0, 2.0, 3.0]);
+        w.str("name", "x");
+        w.end();
+        let bytes = w.finish();
+        assert!(Reader::new(&bytes).is_ok());
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0x10;
+            assert!(
+                Reader::new(&flipped).is_err(),
+                "flip at byte {i} went unseen"
+            );
+            assert!(
+                Reader::new(&bytes[..i]).is_err(),
+                "cut at byte {i} went unseen"
+            );
+        }
+    }
+
+    #[test]
+    fn foreign_bytes_fail_the_magic_check() {
+        let text = b"autopower-model {\n  version 1\n}\n";
+        assert!(!has_magic(text));
+        let err = Reader::new(text).unwrap_err();
+        assert_eq!(err.offset, 0);
+        assert!(err.to_string().contains("magic"));
+        assert!(has_magic(&Writer::new().finish()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid record name")]
+    fn empty_names_are_rejected() {
+        let mut w = Writer::new();
+        w.u64("", 1);
     }
 
     #[test]

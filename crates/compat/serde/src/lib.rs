@@ -8,7 +8,7 @@
 //! requires no source changes for them.
 //!
 //! The [`codec`] module is an *additive* extension that the trained-model
-//! save/load path uses: a concrete, bit-exact, line-oriented text codec (it
+//! save/load path uses: a concrete, bit-exact, checksummed binary codec (it
 //! does not exist in the real `serde`; a workspace switching to registry
 //! crates would keep this module or port the model persistence to a serde
 //! format crate).

@@ -199,7 +199,7 @@ impl Codec for AutoPowerMinus {
         let components = r.begin_list("components")?;
         if components != Component::ALL.len() {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!(
                     "autopower-minus has {components} components, expected {}",
                     Component::ALL.len()
@@ -211,7 +211,7 @@ impl Codec for AutoPowerMinus {
             let groups = r.begin_list("groups")?;
             if groups != GROUPS {
                 return Err(CodecError::new(
-                    r.line(),
+                    r.offset(),
                     format!("autopower-minus has {groups} group models, expected {GROUPS}"),
                 ));
             }

@@ -156,7 +156,7 @@ impl Codec for McpatCalibComponent {
         let len = r.begin_list("models")?;
         if len != Component::ALL.len() {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!(
                     "mcpat-calib-component has {len} models, expected {}",
                     Component::ALL.len()

@@ -349,7 +349,7 @@ impl Codec for ClockPowerModel {
         let len = r.begin_list("components")?;
         if len != Component::ALL.len() {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!(
                     "clock model has {len} components, expected {}",
                     Component::ALL.len()

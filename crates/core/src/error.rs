@@ -43,6 +43,10 @@ pub enum AutoPowerError {
     /// (e.g. it does not cover the sweep's workloads, or a sweep finished
     /// with zero audited configurations).
     Surrogate(String),
+    /// A model, surrogate or checkpoint input is not in the binary encoding
+    /// of format 2 — typically a text file written before it.  Names the
+    /// file (or the kind of stream, when decoding from memory).
+    LegacyFormat(String),
 }
 
 impl fmt::Display for AutoPowerError {
@@ -100,6 +104,13 @@ impl fmt::Display for AutoPowerError {
             }
             AutoPowerError::Surrogate(message) => {
                 write!(f, "surrogate error: {message}")
+            }
+            AutoPowerError::LegacyFormat(source) => {
+                write!(
+                    f,
+                    "{source} is not a format-2 binary file: text files written before format 2 \
+                     must be re-saved, or the sweep rerun"
+                )
             }
         }
     }

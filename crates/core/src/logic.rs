@@ -366,7 +366,7 @@ impl Codec for LogicPowerModel {
         let len = r.begin_list("components")?;
         if len != Component::ALL.len() {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!(
                     "logic model has {len} components, expected {}",
                     Component::ALL.len()

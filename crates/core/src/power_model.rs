@@ -36,7 +36,7 @@
 //!
 //! # Persistence
 //!
-//! Trained models serialize to a registry-tagged text format and load back
+//! Trained models serialize to a registry-tagged binary format and load back
 //! bit-identically — see [`save_model`](crate::save_model) /
 //! [`load_model`](crate::load_model).  [`PowerModel::serialize`] writes the
 //! model body; [`ModelKind::decode_trained`] restores the concrete type from

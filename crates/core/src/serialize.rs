@@ -1,4 +1,4 @@
-//! Trained-model persistence: a registry-tagged, bit-exact text format.
+//! Trained-model persistence: a registry-tagged, bit-exact binary format.
 //!
 //! A design-space sweep service should not retrain its models in every
 //! process: training reads the (expensive) corpus, while inference only needs
@@ -12,17 +12,25 @@
 //!
 //! # Format
 //!
+//! A [`serde::codec`] stream (magic, named records, checksum trailer) whose
+//! records are, in order:
+//!
 //! ```text
-//! autopower-model {
-//!   version 1
-//!   kind mcpat-calib          ; the ModelKind registry tag
-//!   mcpat-calib { ... }       ; the body written by PowerModel::serialize
-//! }
+//! scope  autopower-model
+//!   u64  version = MODEL_FORMAT_VERSION
+//!   str  kind    = the ModelKind registry tag, e.g. "mcpat-calib"
+//!   ...          the body written by PowerModel::serialize
+//! end
 //! ```
 //!
 //! The registry tag makes the file self-describing: [`load_model`] restores
 //! the concrete type behind a `Box<dyn PowerModel>` without the caller naming
-//! it, exactly like [`ModelKind::train`] does for training.
+//! it, exactly like [`ModelKind::train`] does for training.  Format 2 is the
+//! first binary one; a version-1 text file fails the codec's magic check with
+//! [`AutoPowerError::LegacyFormat`] and must be re-saved.
+//!
+//! This module also holds the file plumbing the model, surrogate and
+//! checkpoint formats share: atomic writes and path-naming loads.
 
 use crate::error::AutoPowerError;
 use crate::power_model::{ModelKind, PowerModel};
@@ -31,16 +39,16 @@ use autopower_config::{
     SEED_CONFIG_COUNT,
 };
 use autopower_techlib::{SramCompiler, SramMacro, TechLibrary};
-use serde::codec::{CodecError, Reader, Writer};
-use std::path::Path;
+use serde::codec::{self, CodecError, Reader, Writer};
+use std::path::{Path, PathBuf};
 
 /// Version tag of the serialized model format; bumped on layout changes so a
 /// stale file fails loudly instead of deserializing garbage.
-pub const MODEL_FORMAT_VERSION: u64 = 1;
+pub const MODEL_FORMAT_VERSION: u64 = 2;
 
-/// Serializes a trained model (any registry kind) to the registry-tagged text
-/// format.
-pub fn encode_model(model: &dyn PowerModel) -> String {
+/// Serializes a trained model (any registry kind) to the registry-tagged
+/// binary format.
+pub fn encode_model(model: &dyn PowerModel) -> Vec<u8> {
     let mut w = Writer::new();
     w.begin("autopower-model");
     w.u64("version", MODEL_FORMAT_VERSION);
@@ -50,78 +58,119 @@ pub fn encode_model(model: &dyn PowerModel) -> String {
     w.finish()
 }
 
-/// Restores a trained model from [`encode_model`] text.
+/// Restores a trained model from [`encode_model`] bytes.
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::ModelFormat`] on a malformed stream, a version
-/// mismatch, or an unknown registry tag.
-pub fn decode_model(text: &str) -> Result<Box<dyn PowerModel>, AutoPowerError> {
-    let mut r = Reader::new(text);
-    let model = (|| -> Result<Box<dyn PowerModel>, AutoPowerError> {
-        r.begin("autopower-model").map_err(format_err)?;
-        let version = r.u64("version").map_err(format_err)?;
-        if version != MODEL_FORMAT_VERSION {
-            return Err(AutoPowerError::ModelFormat(format!(
-                "unsupported format version {version} (this build reads version \
-                 {MODEL_FORMAT_VERSION})"
-            )));
-        }
-        let kind: ModelKind = r.str("kind").map_err(format_err)?.parse()?;
-        let model = kind.decode_trained(&mut r)?;
-        r.end().map_err(format_err)?;
-        r.expect_eof().map_err(format_err)?;
-        Ok(model)
-    })()?;
+/// Returns [`AutoPowerError::LegacyFormat`] for bytes without the codec
+/// magic (e.g. a version-1 text file), and [`AutoPowerError::ModelFormat`]
+/// on a torn or malformed stream, a version mismatch, or an unknown registry
+/// tag.
+pub fn decode_model(bytes: &[u8]) -> Result<Box<dyn PowerModel>, AutoPowerError> {
+    let mut r = open_stream(bytes, "model", AutoPowerError::ModelFormat)?;
+    r.begin("autopower-model")?;
+    let version = r.u64("version")?;
+    if version != MODEL_FORMAT_VERSION {
+        return Err(AutoPowerError::ModelFormat(format!(
+            "unsupported format version {version} (this build reads version \
+             {MODEL_FORMAT_VERSION})"
+        )));
+    }
+    let kind: ModelKind = r.str("kind")?.parse()?;
+    let model = kind.decode_trained(&mut r)?;
+    r.end()?;
+    r.expect_eof()?;
     Ok(model)
 }
 
-/// Saves a trained model to `path` (see [`encode_model`] for the format).
+/// Saves a trained model to `path` (see [`encode_model`] for the format),
+/// atomically: a serving process (hot reload, `--watch-models-ms`) never
+/// sees a torn file.
 ///
 /// # Errors
 ///
 /// Returns [`AutoPowerError::ModelIo`] if the file cannot be written.
 pub fn save_model(model: &dyn PowerModel, path: impl AsRef<Path>) -> Result<(), AutoPowerError> {
-    let path = path.as_ref();
-    // Temp file + rename: a crash mid-save can never leave a torn model file
-    // where a serving process (hot reload, `--watch-models-ms`) would read it.
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
-    std::fs::write(tmp, encode_model(model))
-        .map_err(|e| AutoPowerError::ModelIo(format!("writing {}: {e}", tmp.display())))?;
-    std::fs::rename(tmp, path)
-        .map_err(|e| AutoPowerError::ModelIo(format!("renaming into {}: {e}", path.display())))
+    write_atomic(path.as_ref(), &encode_model(model)).map_err(AutoPowerError::ModelIo)
 }
 
 /// Loads a trained model saved by [`save_model`].
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::ModelIo`] if the file cannot be read and
-/// [`AutoPowerError::ModelFormat`] if it does not parse.  Both name the
-/// offending path: a server cold-starting from several model files (or hot
-/// reloading them) must be able to say *which* file is broken.
+/// Returns [`AutoPowerError::ModelIo`] if the file cannot be read, and the
+/// errors of [`decode_model`] if it does not decode.  All name the offending
+/// path: a server cold-starting from several model files (or hot reloading
+/// them) must be able to say *which* file is broken.
 pub fn load_model(path: impl AsRef<Path>) -> Result<Box<dyn PowerModel>, AutoPowerError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| AutoPowerError::ModelIo(format!("reading {}: {e}", path.display())))?;
-    decode_model(&text).map_err(|e| match e {
-        AutoPowerError::ModelFormat(message) => {
-            AutoPowerError::ModelFormat(format!("{}: {message}", path.display()))
-        }
-        other => other,
-    })
+    load_file(path.as_ref(), AutoPowerError::ModelIo, decode_model)
 }
 
 impl From<CodecError> for AutoPowerError {
     fn from(e: CodecError) -> Self {
-        format_err(e)
+        AutoPowerError::ModelFormat(e.to_string())
     }
 }
 
-fn format_err(e: CodecError) -> AutoPowerError {
-    AutoPowerError::ModelFormat(e.to_string())
+/// Opens a codec stream of a `what` file (model, surrogate, checkpoint).
+/// Bytes without the codec magic are refused with the typed
+/// [`AutoPowerError::LegacyFormat`]; a torn or corrupted stream fails its
+/// checksum and is reported through `malformed`.
+pub(crate) fn open_stream<'a>(
+    bytes: &'a [u8],
+    what: &str,
+    malformed: fn(String) -> AutoPowerError,
+) -> Result<Reader<'a>, AutoPowerError> {
+    if !codec::has_magic(bytes) {
+        return Err(AutoPowerError::LegacyFormat(format!("{what} input")));
+    }
+    Reader::new(bytes).map_err(|e| malformed(e.to_string()))
+}
+
+/// Reads `path` whole and decodes it, naming the file in every error:
+/// `unreadable` wraps I/O failures, and decode errors gain the path.
+pub(crate) fn load_file<T>(
+    path: &Path,
+    unreadable: fn(String) -> AutoPowerError,
+    decode: impl FnOnce(&[u8]) -> Result<T, AutoPowerError>,
+) -> Result<T, AutoPowerError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| unreadable(format!("reading {}: {e}", path.display())))?;
+    let named = |message: String| format!("{}: {message}", path.display());
+    decode(&bytes).map_err(|e| match e {
+        AutoPowerError::ModelFormat(m) => AutoPowerError::ModelFormat(named(m)),
+        AutoPowerError::Surrogate(m) => AutoPowerError::Surrogate(named(m)),
+        AutoPowerError::Checkpoint(m) => AutoPowerError::Checkpoint(named(m)),
+        AutoPowerError::LegacyFormat(_) => AutoPowerError::LegacyFormat(path.display().to_string()),
+        other => other,
+    })
+}
+
+/// Writes `bytes` to `path` through a `.tmp` sibling and a rename, so a
+/// crash mid-save can never leave a torn file where a reader would pick it
+/// up.  The error message names the file that failed.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    write_atomic_with(path, bytes, |tmp, bytes| std::fs::write(tmp, bytes))
+}
+
+/// [`write_atomic`] with an injectable temp-file writer (the checkpoint
+/// fault-injection seam); the rename into `path` happens only when `write`
+/// returns `Ok`.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    bytes: &[u8],
+    write: impl FnOnce(&Path, &[u8]) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let tmp = sibling_tmp(path);
+    write(&tmp, bytes).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("renaming into {}: {e}", path.display()))
+}
+
+/// The temp-file sibling [`write_atomic`] stages writes through.
+pub(crate) fn sibling_tmp(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 // --- codec helpers for foreign types (config / techlib) -------------------
@@ -140,7 +189,7 @@ pub(crate) fn decode_component(r: &mut Reader<'_>) -> Result<Component, CodecErr
     Component::ALL
         .into_iter()
         .find(|c| c.name() == name)
-        .ok_or_else(|| CodecError::new(r.line(), format!("unknown component '{name}'")))
+        .ok_or_else(|| CodecError::new(r.offset(), format!("unknown component '{name}'")))
 }
 
 /// Writes a hardware parameter by its stable Table II name.
@@ -154,7 +203,7 @@ pub(crate) fn decode_hw_param(r: &mut Reader<'_>) -> Result<HwParam, CodecError>
     HwParam::ALL
         .into_iter()
         .find(|p| p.name() == name)
-        .ok_or_else(|| CodecError::new(r.line(), format!("unknown hardware parameter '{name}'")))
+        .ok_or_else(|| CodecError::new(r.offset(), format!("unknown hardware parameter '{name}'")))
 }
 
 /// Writes a full configuration: identifier kind + index and all 14 parameter
@@ -183,7 +232,7 @@ pub(crate) fn encode_config(w: &mut Writer, config: &CpuConfig) {
 pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<CpuConfig, CodecError> {
     r.begin("config")?;
     let kind = r.str("id_kind")?.to_owned();
-    let id_line = r.line();
+    let id_at = r.offset();
     let index = r.u64("id")?;
     let id = match kind.as_str() {
         "generated" => {
@@ -192,7 +241,7 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<CpuConfig, CodecError>
                 .filter(|&n| n > 0 && n < u32::MAX - SEED_CONFIG_COUNT)
                 .ok_or_else(|| {
                     CodecError::new(
-                        id_line,
+                        id_at,
                         format!("generated config index {index} out of range"),
                     )
                 })?;
@@ -203,13 +252,13 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<CpuConfig, CodecError>
                 .ok()
                 .filter(|&n| (1..=SEED_CONFIG_COUNT as u8).contains(&n))
                 .ok_or_else(|| {
-                    CodecError::new(id_line, format!("seed config index {index} out of range"))
+                    CodecError::new(id_at, format!("seed config index {index} out of range"))
                 })?;
             ConfigId::new(n)
         }
         other => {
             return Err(CodecError::new(
-                id_line,
+                id_at,
                 format!("unknown config id kind '{other}'"),
             ))
         }
@@ -218,15 +267,15 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<CpuConfig, CodecError>
     let mut values = [0u32; 14];
     if count != values.len() {
         return Err(CodecError::new(
-            r.line(),
+            r.offset(),
             format!("expected {} parameter values, found {count}", values.len()),
         ));
     }
     for slot in &mut values {
-        let line = r.line();
+        let at = r.offset();
         let v = r.u64("v")?;
         *slot = u32::try_from(v)
-            .map_err(|_| CodecError::new(line, format!("parameter value {v} exceeds u32")))?;
+            .map_err(|_| CodecError::new(at, format!("parameter value {v} exceeds u32")))?;
     }
     r.end()?;
     r.end()?;
@@ -247,7 +296,7 @@ pub(crate) fn decode_position(r: &mut Reader<'_>) -> Result<SramPositionId, Code
     r.begin("position")?;
     let component = decode_component(r)?;
     let name = r.str("name")?;
-    let position_line = r.line();
+    let position_at = r.offset();
     r.end()?;
     sram_positions()
         .iter()
@@ -255,7 +304,7 @@ pub(crate) fn decode_position(r: &mut Reader<'_>) -> Result<SramPositionId, Code
         .find(|id| id.component == component && id.name == name)
         .ok_or_else(|| {
             CodecError::new(
-                position_line,
+                position_at,
                 format!("unknown SRAM position '{component}.{name}'"),
             )
         })
@@ -328,7 +377,7 @@ pub(crate) fn decode_library(r: &mut Reader<'_>) -> Result<TechLibrary, CodecErr
     r.end()?;
     if macros.is_empty() || clock_ghz <= 0.0 || clock_ghz.is_nan() {
         return Err(CodecError::new(
-            r.line(),
+            r.offset(),
             "library must carry a positive clock and at least one macro",
         ));
     }
@@ -340,18 +389,38 @@ pub(crate) fn decode_library(r: &mut Reader<'_>) -> Result<TechLibrary, CodecErr
     ))
 }
 
+/// Test-only byte mutation behind the decoder fuzz properties: at fraction
+/// `at` of the stream, `op` 0 flips bits of the byte there (xor with
+/// `byte + 1`), 1 inserts `byte`, 2 deletes the byte, 3 truncates.
+#[cfg(test)]
+pub(crate) fn mutate(bytes: &[u8], op: u8, at: f64, byte: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+    match op {
+        0 => out[i] ^= byte.wrapping_add(1),
+        1 => out.insert(i, byte),
+        2 => {
+            out.remove(i);
+        }
+        _ => out.truncate(i),
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde::codec::Codec as _;
+    use std::sync::OnceLock;
 
     #[test]
     fn library_round_trips_bit_for_bit() {
         let lib = TechLibrary::tsmc40_like();
         let mut w = Writer::new();
         encode_library(&mut w, &lib);
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
         let back = decode_library(&mut r).unwrap();
         assert_eq!(back, lib);
     }
@@ -361,24 +430,27 @@ mod tests {
         for component in Component::ALL {
             let mut w = Writer::new();
             encode_component(&mut w, component);
-            let text = w.finish();
+            let bytes = w.finish();
             assert_eq!(
-                decode_component(&mut Reader::new(&text)).unwrap(),
+                decode_component(&mut Reader::new(&bytes).unwrap()).unwrap(),
                 component
             );
         }
         for param in HwParam::ALL {
             let mut w = Writer::new();
             encode_hw_param(&mut w, param);
-            let text = w.finish();
-            assert_eq!(decode_hw_param(&mut Reader::new(&text)).unwrap(), param);
+            let bytes = w.finish();
+            assert_eq!(
+                decode_hw_param(&mut Reader::new(&bytes).unwrap()).unwrap(),
+                param
+            );
         }
         for position in sram_positions() {
             let mut w = Writer::new();
             encode_position(&mut w, position.id);
-            let text = w.finish();
+            let bytes = w.finish();
             assert_eq!(
-                decode_position(&mut Reader::new(&text)).unwrap(),
+                decode_position(&mut Reader::new(&bytes).unwrap()).unwrap(),
                 position.id
             );
         }
@@ -388,21 +460,39 @@ mod tests {
     fn unknown_names_are_rejected() {
         let mut w = Writer::new();
         w.str("component", "FluxCapacitor");
-        let text = w.finish();
-        assert!(decode_component(&mut Reader::new(&text)).is_err());
+        let bytes = w.finish();
+        assert!(decode_component(&mut Reader::new(&bytes).unwrap()).is_err());
+    }
+
+    /// A model stream with a hand-written header: the checksum is valid, so
+    /// the header checks themselves must refuse it.
+    fn stream_with_header(version: u64, kind: &str) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.begin("autopower-model");
+        w.u64("version", version);
+        w.str("kind", kind);
+        w.end();
+        w.finish()
     }
 
     #[test]
     fn version_and_kind_tags_are_enforced() {
-        let err = decode_model("autopower-model {\n version 999\n}\n").unwrap_err();
+        let err = decode_model(&stream_with_header(999, "mcpat-calib")).unwrap_err();
         assert!(matches!(err, AutoPowerError::ModelFormat(_)));
         assert!(err.to_string().contains("version 999"));
 
-        let err = decode_model("autopower-model {\n version 1\n kind xgboost\n}\n").unwrap_err();
+        let err = decode_model(&stream_with_header(MODEL_FORMAT_VERSION, "xgboost")).unwrap_err();
         assert!(matches!(err, AutoPowerError::UnknownModel(_)));
 
-        let err = decode_model("not-a-model {\n}\n").unwrap_err();
+        let mut w = Writer::new();
+        w.begin("not-a-model");
+        w.end();
+        let err = decode_model(&w.finish()).unwrap_err();
         assert!(matches!(err, AutoPowerError::ModelFormat(_)));
+        assert!(err.to_string().contains("autopower-model"));
+
+        let err = decode_model(b"autopower-model {\n version 1\n}\n").unwrap_err();
+        assert!(matches!(err, AutoPowerError::LegacyFormat(_)));
     }
 
     #[test]
@@ -451,10 +541,19 @@ mod tests {
             "I/O error must name the file: {err}"
         );
 
-        // Format failure: a readable but malformed file is named too — a
-        // server loading several model files must say which one is broken.
+        // Format failures: a readable file that is not a model — foreign
+        // bytes, or a model stream torn short — is named too: a server
+        // loading several model files must say which one is broken.
         let garbage = dir.join("garbage.apm");
         std::fs::write(&garbage, "not a model file\n").unwrap();
+        let err = load_model(&garbage).unwrap_err();
+        assert!(matches!(err, AutoPowerError::LegacyFormat(_)));
+        assert!(
+            err.to_string().contains("garbage.apm"),
+            "format error must name the file: {err}"
+        );
+        let torn = stream_with_header(MODEL_FORMAT_VERSION, "mcpat-calib");
+        std::fs::write(&garbage, &torn[..torn.len() - 1]).unwrap();
         let err = load_model(&garbage).unwrap_err();
         assert!(matches!(err, AutoPowerError::ModelFormat(_)));
         assert!(
@@ -488,5 +587,28 @@ mod tests {
         let mut w = Writer::new();
         PowerModel::serialize(&concrete, &mut w);
         assert_eq!(w.finish(), direct);
+    }
+
+    proptest! {
+        /// A valid model encoding flipped, grown, shrunk or cut at any byte
+        /// fails to decode — with an error, never a panic and never a model.
+        #[test]
+        fn mutated_model_streams_fail_to_decode(op in 0u8..4, at in 0.0f64..1.0, byte in 0u8..255) {
+            static ENCODED: OnceLock<Vec<u8>> = OnceLock::new();
+            let bytes = ENCODED.get_or_init(|| {
+                use crate::dataset::{Corpus, CorpusSpec};
+                use autopower_config::{boom_configs, Workload};
+
+                let cfgs = boom_configs();
+                let corpus = Corpus::generate(
+                    &[cfgs[0], cfgs[14]],
+                    &[Workload::Dhrystone, Workload::Vvadd],
+                    &CorpusSpec::fast(),
+                );
+                let train = [ConfigId::new(1), ConfigId::new(15)];
+                encode_model(ModelKind::McpatCalib.train(&corpus, &train).unwrap().as_ref())
+            });
+            prop_assert!(decode_model(&mutate(bytes, op, at, byte)).is_err());
+        }
     }
 }

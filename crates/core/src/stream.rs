@@ -20,10 +20,13 @@
 //!   Memory is O(top-k + sketches + frontier), independent of how many
 //!   configurations stream through.
 //! * The aggregator state and a [`ChunkCursor`] serialize through the bit-exact
-//!   text [`Codec`] (the PR 4 model-persistence substrate), giving an on-disk
-//!   [`SweepCheckpoint`].  A sweep interrupted at a chunk boundary and resumed
-//!   from its checkpoint reaches state **bit-identical** to an uninterrupted
-//!   run, so the final report reproduces byte for byte.
+//!   binary [`Codec`] (the model-persistence substrate, checksummed so a torn
+//!   write fails as a whole), giving an on-disk [`SweepCheckpoint`] (format
+//!   version [`CHECKPOINT_FORMAT_VERSION`]; a text checkpoint written before
+//!   format 2 is refused, and its sweep must be rerun).  A sweep interrupted
+//!   at a chunk boundary and resumed from its checkpoint reaches state
+//!   **bit-identical** to an uninterrupted run, so the final report
+//!   reproduces byte for byte.
 //!
 //! Determinism is load-bearing everywhere: sketch compaction is seedless and
 //! counter-driven (not randomized as in textbook KLL), so the same point
@@ -33,7 +36,9 @@
 //! nearest-rank quantiles of the materialized summaries.
 
 use crate::error::AutoPowerError;
-use crate::serialize::{decode_config, encode_config};
+use crate::serialize::{
+    decode_config, encode_config, load_file, open_stream, sibling_tmp, write_atomic_with,
+};
 use crate::surrogate::AuditAccumulator;
 use crate::sweep::{config_summary, efficiency_sort_key, ConfigSummary, SweepEngine, SweepPoint};
 use autopower_config::{CpuConfig, HwParam, Workload};
@@ -44,7 +49,7 @@ use std::path::{Path, PathBuf};
 
 /// Version tag of the checkpoint format; bumped on layout changes so a stale
 /// file fails loudly instead of deserializing garbage.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Quantile sketches
@@ -178,11 +183,11 @@ impl Codec for QuantileSketch {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.begin("sketch")?;
-        let capacity_line = r.line();
+        let capacity_at = r.offset();
         let level_capacity = r.u64("level_capacity")? as usize;
         if level_capacity < 8 {
             return Err(CodecError::new(
-                capacity_line,
+                capacity_at,
                 format!("sketch level capacity {level_capacity} below the minimum of 8"),
             ));
         }
@@ -193,7 +198,7 @@ impl Codec for QuantileSketch {
             compactions.push(r.u64("n")?);
         }
         r.end()?;
-        let shape_line = r.line();
+        let shape_at = r.offset();
         let n_levels = r.begin_list("levels")?;
         let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
@@ -203,7 +208,7 @@ impl Codec for QuantileSketch {
         r.end()?;
         if levels.is_empty() || levels.len() != compactions.len() {
             return Err(CodecError::new(
-                shape_line,
+                shape_at,
                 format!(
                     "sketch has {} level(s) but {} compaction counter(s)",
                     levels.len(),
@@ -823,8 +828,7 @@ impl Codec for SweepAggregator {
         }
         w.end();
         // Optional trailing section: written only when constraints are
-        // present, so unconstrained aggregators encode byte-identically to
-        // the pre-constraint format (and old checkpoints decode).
+        // present, so unconstrained aggregators carry no constraint records.
         if self.constraints.is_constrained() {
             w.begin("constraints");
             match self.constraints.max_power {
@@ -848,20 +852,20 @@ impl Codec for SweepAggregator {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.begin("aggregator")?;
-        let arity_line = r.line();
+        let arity_at = r.offset();
         let per_config = r.u64("per_config")? as usize;
         let top_k = r.u64("top_k")? as usize;
         if per_config == 0 || top_k == 0 {
             return Err(CodecError::new(
-                arity_line,
+                arity_at,
                 "aggregator arity fields must be positive",
             ));
         }
-        let pending_line = r.line();
+        let pending_at = r.offset();
         let pending = r.u64("pending_points")?;
         if pending != 0 {
             return Err(CodecError::new(
-                pending_line,
+                pending_at,
                 format!(
                     "aggregator was encoded mid-configuration ({pending} pending point(s)); \
                      checkpoints are only valid at configuration boundaries"
@@ -870,11 +874,11 @@ impl Codec for SweepAggregator {
         }
         let configs = r.u64("configs")?;
         let groups_resolved = r.bool("groups_resolved")?;
-        let series_line = r.line();
+        let series_at = r.offset();
         let n_series = r.begin_list("series")?;
         if n_series != PowerSeries::ALL.len() {
             return Err(CodecError::new(
-                series_line,
+                series_at,
                 format!(
                     "expected {} power series, found {n_series}",
                     PowerSeries::ALL.len()
@@ -886,11 +890,11 @@ impl Codec for SweepAggregator {
             series.push(SeriesSketch::decode(r)?);
         }
         r.end()?;
-        let top_line = r.line();
+        let top_at = r.offset();
         let n_top = r.begin_list("top")?;
         if n_top > top_k {
             return Err(CodecError::new(
-                top_line,
+                top_at,
                 format!("top table holds {n_top} entries but k is {top_k}"),
             ));
         }
@@ -914,7 +918,7 @@ impl Codec for SweepAggregator {
         }
         r.end()?;
         let mut constraints = ParetoConstraints::default();
-        if r.try_begin("constraints")? {
+        if r.try_begin("constraints") {
             if r.bool("has_max_power")? {
                 constraints.max_power = Some(r.f64("max_power")?);
             }
@@ -992,9 +996,8 @@ impl Codec for SweepCheckpoint {
         w.u64("fingerprint", self.fingerprint);
         self.cursor.encode(w);
         self.aggregator.encode(w);
-        // Optional trailing section: exact-backend checkpoints encode
-        // byte-identically to the pre-surrogate format, and old checkpoints
-        // decode with no audit state.
+        // Optional trailing section: exact-backend checkpoints carry no
+        // audit records and decode with no audit state.
         if let Some(audit) = &self.audit {
             audit.encode(w);
         }
@@ -1003,11 +1006,11 @@ impl Codec for SweepCheckpoint {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.begin("sweep-checkpoint")?;
-        let version_line = r.line();
+        let version_at = r.offset();
         let version = r.u64("version")?;
         if version != CHECKPOINT_FORMAT_VERSION {
             return Err(CodecError::new(
-                version_line,
+                version_at,
                 format!(
                     "unsupported checkpoint version {version} (this build reads version \
                      {CHECKPOINT_FORMAT_VERSION})"
@@ -1017,7 +1020,7 @@ impl Codec for SweepCheckpoint {
         let fingerprint = r.u64("fingerprint")?;
         let cursor = ChunkCursor::decode(r)?;
         let aggregator = SweepAggregator::decode(r)?;
-        let audit = if r.try_begin("audit")? {
+        let audit = if r.try_begin("audit") {
             Some(AuditAccumulator::decode_fields(r)?)
         } else {
             None
@@ -1032,21 +1035,22 @@ impl Codec for SweepCheckpoint {
     }
 }
 
-/// Serializes a checkpoint to its text form.
-pub fn encode_checkpoint(checkpoint: &SweepCheckpoint) -> String {
+/// Serializes a checkpoint to its binary form.
+pub fn encode_checkpoint(checkpoint: &SweepCheckpoint) -> Vec<u8> {
     let mut w = Writer::new();
     checkpoint.encode(&mut w);
     w.finish()
 }
 
-/// Parses [`encode_checkpoint`] text.
+/// Parses [`encode_checkpoint`] bytes.
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::Checkpoint`] on a malformed stream or version
-/// mismatch.
-pub fn decode_checkpoint(text: &str) -> Result<SweepCheckpoint, AutoPowerError> {
-    let mut r = Reader::new(text);
+/// Returns [`AutoPowerError::LegacyFormat`] for bytes without the codec
+/// magic (e.g. a version-1 text checkpoint) and [`AutoPowerError::Checkpoint`]
+/// on a torn or malformed stream or a version mismatch.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<SweepCheckpoint, AutoPowerError> {
+    let mut r = open_stream(bytes, "checkpoint", AutoPowerError::Checkpoint)?;
     let checkpoint = SweepCheckpoint::decode(&mut r).map_err(checkpoint_err)?;
     r.expect_eof().map_err(checkpoint_err)?;
     Ok(checkpoint)
@@ -1068,12 +1072,12 @@ pub fn save_checkpoint(
     checkpoint: &SweepCheckpoint,
     path: impl AsRef<Path>,
 ) -> Result<(), AutoPowerError> {
-    save_checkpoint_with(checkpoint, path, |tmp, text| std::fs::write(tmp, text))
+    save_checkpoint_with(checkpoint, path, |tmp, bytes| std::fs::write(tmp, bytes))
 }
 
 /// [`save_checkpoint`] with an injectable temp-file writer — the seam the
 /// chaos tests use to tear a checkpoint write at a chosen byte offset.  The
-/// writer receives the temp path and the full encoded text; the rename into
+/// writer receives the temp path and the full encoded bytes; the rename into
 /// `path` happens only when it returns `Ok`, exactly mirroring a process
 /// killed mid-write (torn temp file, untouched main file).
 ///
@@ -1085,40 +1089,27 @@ pub fn save_checkpoint(
 pub fn save_checkpoint_with(
     checkpoint: &SweepCheckpoint,
     path: impl AsRef<Path>,
-    write: impl FnOnce(&Path, &str) -> std::io::Result<()>,
+    write: impl FnOnce(&Path, &[u8]) -> std::io::Result<()>,
 ) -> Result<(), AutoPowerError> {
-    let path = path.as_ref();
     if checkpoint.aggregator.pending_points() != 0 {
         return Err(AutoPowerError::Checkpoint(format!(
             "cannot checkpoint mid-configuration ({} pending point(s))",
             checkpoint.aggregator.pending_points()
         )));
     }
-    let tmp = sibling_tmp(path);
-    write(&tmp, &encode_checkpoint(checkpoint))
-        .map_err(|e| AutoPowerError::Checkpoint(format!("writing {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| AutoPowerError::Checkpoint(format!("renaming into {}: {e}", path.display())))
-}
-
-/// The temp-file sibling [`save_checkpoint`] stages writes through.
-fn sibling_tmp(path: &Path) -> PathBuf {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    PathBuf::from(tmp)
+    write_atomic_with(path.as_ref(), &encode_checkpoint(checkpoint), write)
+        .map_err(AutoPowerError::Checkpoint)
 }
 
 /// Loads a checkpoint written by [`save_checkpoint`].
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::Checkpoint`] if the file cannot be read or does
-/// not parse.
+/// Returns the errors of [`decode_checkpoint`], or
+/// [`AutoPowerError::Checkpoint`] if the file cannot be read; every one names
+/// the file.
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<SweepCheckpoint, AutoPowerError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| AutoPowerError::Checkpoint(format!("reading {}: {e}", path.display())))?;
-    decode_checkpoint(&text)
+    load_file(path.as_ref(), AutoPowerError::Checkpoint, decode_checkpoint)
 }
 
 /// What [`load_checkpoint_salvaged`] had to do when the main checkpoint file
@@ -1302,15 +1293,22 @@ mod tests {
     use crate::prediction::Prediction;
     use crate::sweep::{rank_by_efficiency, summarize, SweepSpec};
     use autopower_config::{boom_configs, ConfigId, DesignSpace, Workload};
+    use proptest::prelude::*;
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(value: &T) -> T {
         let mut w = Writer::new();
         value.encode(&mut w);
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).expect("roundtrip open");
         let decoded = T::decode(&mut r).expect("roundtrip decode");
         r.expect_eof().expect("trailing content after decode");
         decoded
+    }
+
+    fn contains(haystack: &[u8], needle: &str) -> bool {
+        haystack
+            .windows(needle.len())
+            .any(|w| w == needle.as_bytes())
     }
 
     fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
@@ -1594,20 +1592,34 @@ mod tests {
         let restored = load_checkpoint(&path).unwrap();
         assert_eq!(restored, checkpoint);
 
-        // A tampered version fails loudly.
-        let text = encode_checkpoint(&checkpoint).replace("version 1", "version 99");
-        let err = decode_checkpoint(&text).unwrap_err();
+        // A version this build does not read fails loudly (the stream is
+        // well-formed and checksummed, so the version check is what fails).
+        let mut w = Writer::new();
+        w.begin("sweep-checkpoint");
+        w.u64("version", 99);
+        w.end();
+        let err = decode_checkpoint(&w.finish()).unwrap_err();
         assert!(matches!(err, AutoPowerError::Checkpoint(_)));
-        assert!(err.to_string().contains("version"));
+        assert!(err.to_string().contains("version 99"), "{err}");
 
         // Truncation fails loudly.
         let whole = encode_checkpoint(&checkpoint);
         let truncated = &whole[..whole.len() / 2];
         assert!(decode_checkpoint(truncated).is_err());
 
-        // A missing file reports the path.
+        // A missing, foreign or torn file reports the path.
         let missing = load_checkpoint(dir.join("missing.ckpt")).unwrap_err();
         assert!(missing.to_string().contains("missing.ckpt"));
+        let garbage = dir.join("garbage.ckpt");
+        std::fs::write(&garbage, "not a checkpoint\n").unwrap();
+        let err = load_checkpoint(&garbage).unwrap_err();
+        assert!(matches!(err, AutoPowerError::LegacyFormat(_)));
+        assert!(err.to_string().contains("garbage.ckpt"), "{err}");
+        std::fs::write(&garbage, truncated).unwrap();
+        let err = load_checkpoint(&garbage).unwrap_err();
+        assert!(matches!(err, AutoPowerError::Checkpoint(_)));
+        assert!(err.to_string().contains("garbage.ckpt"), "{err}");
+        std::fs::remove_file(&garbage).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1633,8 +1645,7 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("mid-configuration"));
         // The direct codec path refuses at decode time too.
-        let text = encode_checkpoint(&checkpoint);
-        assert!(decode_checkpoint(&text).is_err());
+        assert!(decode_checkpoint(&encode_checkpoint(&checkpoint)).is_err());
     }
 
     #[test]
@@ -1664,16 +1675,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.ckpt");
         let tmp = dir.join("sweep.ckpt.tmp");
-        let text1 = encode_checkpoint(&cp1);
-        let text2 = encode_checkpoint(&cp2);
+        let bytes1 = encode_checkpoint(&cp1);
+        let bytes2 = encode_checkpoint(&cp2);
 
         // Second save killed after k bytes of the temp write (the rename
         // never ran): resume must come back with the durable cp1 — unless
         // the torn prefix still parses as the complete cp2, in which case
         // adopting it is correct but must be reported as a salvage.
-        for k in 0..=text2.len() {
+        for k in 0..=bytes2.len() {
             save_checkpoint(&cp1, &path).unwrap();
-            std::fs::write(&tmp, &text2[..k]).unwrap();
+            std::fs::write(&tmp, &bytes2[..k]).unwrap();
             let (loaded, salvage) = load_checkpoint_salvaged(&path, Some(cp1.fingerprint)).unwrap();
             if loaded == cp2 {
                 let salvage = salvage.expect("adopting the sibling must be reported");
@@ -1686,36 +1697,31 @@ mod tests {
         }
         // At k == len the sibling is complete and must be adopted.
         save_checkpoint(&cp1, &path).unwrap();
-        std::fs::write(&tmp, &text2).unwrap();
+        std::fs::write(&tmp, &bytes2).unwrap();
         let (loaded, salvage) = load_checkpoint_salvaged(&path, Some(cp1.fingerprint)).unwrap();
         assert_eq!(loaded, cp2);
         assert!(salvage.is_some());
 
         // First-ever save killed after k bytes: nothing durable exists, so
         // resume refuses loudly (naming the main file) for every torn
-        // prefix — it never fabricates state from a partial write.
-        for k in 0..text1.len() {
+        // prefix — the checksum trailer means no strict prefix decodes, so
+        // it never fabricates state from a partial write.
+        for k in 0..bytes1.len() {
             std::fs::remove_file(&path).ok();
-            std::fs::write(&tmp, &text1[..k]).unwrap();
-            match load_checkpoint_salvaged(&path, Some(cp1.fingerprint)) {
-                Err(e) => assert!(e.to_string().contains("sweep.ckpt")),
-                // A prefix that still parses (e.g. missing only the final
-                // newline) must decode to exactly the durable checkpoint.
-                Ok((loaded, salvage)) => {
-                    assert_eq!(loaded, cp1, "kill at byte {k} fabricated a checkpoint");
-                    assert!(salvage.is_some());
-                }
-            }
+            std::fs::write(&tmp, &bytes1[..k]).unwrap();
+            let err = load_checkpoint_salvaged(&path, Some(cp1.fingerprint))
+                .expect_err("a torn first save must be refused");
+            assert!(err.to_string().contains("sweep.ckpt"));
         }
         std::fs::remove_file(&path).ok();
-        std::fs::write(&tmp, &text1).unwrap();
+        std::fs::write(&tmp, &bytes1).unwrap();
         let (loaded, salvage) = load_checkpoint_salvaged(&path, Some(cp1.fingerprint)).unwrap();
         assert_eq!(loaded, cp1);
         assert!(salvage.unwrap().reason.contains("unreadable"));
 
         // A torn main file with a complete sibling recovers the sibling.
-        std::fs::write(&path, &text2[..text2.len() / 2]).unwrap();
-        std::fs::write(&tmp, &text1).unwrap();
+        std::fs::write(&path, &bytes2[..bytes2.len() / 2]).unwrap();
+        std::fs::write(&tmp, &bytes1).unwrap();
         let (loaded, salvage) = load_checkpoint_salvaged(&path, Some(cp1.fingerprint)).unwrap();
         assert_eq!(loaded, cp1);
         assert!(salvage.is_some());
@@ -1742,8 +1748,8 @@ mod tests {
         // The writer seam: a torn injected write fails the save and leaves
         // the previous durable file untouched.
         save_checkpoint(&cp1, &path).unwrap();
-        let err = save_checkpoint_with(&cp2, &path, |tmp_path, text| {
-            std::fs::write(tmp_path, &text[..text.len() / 2])?;
+        let err = save_checkpoint_with(&cp2, &path, |tmp_path, bytes| {
+            std::fs::write(tmp_path, &bytes[..bytes.len() / 2])?;
             Err(std::io::Error::other("injected torn write"))
         })
         .unwrap_err();
@@ -1938,13 +1944,12 @@ mod tests {
         assert_eq!(restored, constrained);
         assert_eq!(restored.pareto_constraints(), &constraints);
 
-        // The optional section only appears when constraints are present, so
-        // pre-constraint checkpoints stay byte-compatible.
+        // The optional section only appears when constraints are present.
         let mut plain = SweepAggregator::new(1, &spec);
         plain.push_summary(summary(1, 9.0, 1.0, 9.0));
         let mut w = Writer::new();
         plain.encode(&mut w);
-        assert!(!w.finish().contains("constraints"));
+        assert!(!contains(&w.finish(), "constraints"));
         assert_eq!(roundtrip(&plain), plain);
     }
 
@@ -1982,8 +1987,33 @@ mod tests {
             aggregator: agg,
             audit: None,
         };
-        let text = encode_checkpoint(&without);
-        assert!(!text.contains("audit"));
-        assert_eq!(decode_checkpoint(&text).unwrap(), without);
+        let bytes = encode_checkpoint(&without);
+        assert!(!contains(&bytes, "audit"));
+        assert_eq!(decode_checkpoint(&bytes).unwrap(), without);
+    }
+
+    proptest! {
+        /// A valid checkpoint encoding flipped, grown, shrunk or cut at any
+        /// byte fails to decode — with an error, never a panic and never a
+        /// checkpoint.
+        #[test]
+        fn mutated_checkpoint_streams_fail_to_decode(op in 0u8..4, at in 0.0f64..1.0, byte in 0u8..255) {
+            let spec = StreamSpec {
+                top_k: 2,
+                sketch_level_capacity: 8,
+            };
+            let mut agg = SweepAggregator::new(1, &spec);
+            for i in 0..3 {
+                agg.push_summary(summary(i + 1, 9.0 - f64::from(i), 1.0, 9.0));
+            }
+            let checkpoint = SweepCheckpoint {
+                fingerprint: 0xF00D,
+                cursor: ChunkCursor { offset: 3 },
+                aggregator: agg,
+                audit: None,
+            };
+            let mutated = crate::serialize::mutate(&encode_checkpoint(&checkpoint), op, at, byte);
+            prop_assert!(decode_checkpoint(&mutated).is_err());
+        }
     }
 }

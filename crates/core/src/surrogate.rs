@@ -30,8 +30,16 @@
 //! and the surrogate's predictions for them feed a per-event and end-to-end
 //! power error bound ([`AuditReport`]).  A sweep that audited nothing has no
 //! error bound, and reports refuse to print it as if it did.
+//!
+//! # Persistence
+//!
+//! [`save_surrogate`] / [`load_surrogate`] store a trained surrogate in the
+//! checksummed binary [`serde::codec`] format trained models use, version
+//! [`SURROGATE_FORMAT_VERSION`].  A text file written before format 2 is
+//! refused with [`AutoPowerError::LegacyFormat`] and must be re-saved.
 
 use crate::error::AutoPowerError;
+use crate::serialize::{load_file, open_stream, write_atomic};
 use autopower_config::{seed, ConfigId, DesignSpace, Workload};
 use autopower_ml::{fit_multi_output, GbdtParams, GradientBoosting, Matrix};
 use autopower_perfsim::{
@@ -42,7 +50,7 @@ use std::path::Path;
 
 /// Version tag of the serialized surrogate format; bumped on layout changes
 /// so a stale file fails loudly instead of deserializing garbage.
-pub const SURROGATE_FORMAT_VERSION: u64 = 1;
+pub const SURROGATE_FORMAT_VERSION: u64 = 2;
 
 /// Seed of the training-set sample of the target space.  Deliberately
 /// distinct from the sweep's own sample seed so the surrogate does not train
@@ -320,45 +328,42 @@ impl Codec for ActivitySurrogate {
         r.begin("surrogate")?;
         let max_instructions = r.u64("max_instructions")?;
         let stream_seed = r.u64("stream_seed")?;
-        let count_line = r.line();
+        let count_at = r.offset();
         let train_count = r.u64("train_count")?;
         if train_count == 0 {
             return Err(CodecError::new(
-                count_line,
+                count_at,
                 "surrogate records an empty training sample",
             ));
         }
         let train_seed = r.u64("train_seed")?;
-        let workloads_line = r.line();
+        let workloads_at = r.offset();
         let n_workloads = r.begin_list("workloads")?;
         let mut workloads = Vec::with_capacity(n_workloads);
         for _ in 0..n_workloads {
-            let line = r.line();
+            let at = r.offset();
             let name = r.str("name")?;
             let workload = Workload::ALL
                 .into_iter()
                 .find(|w| w.name() == name)
-                .ok_or_else(|| CodecError::new(line, format!("unknown workload '{name}'")))?;
+                .ok_or_else(|| CodecError::new(at, format!("unknown workload '{name}'")))?;
             if workloads.contains(&workload) {
-                return Err(CodecError::new(
-                    line,
-                    format!("duplicate workload '{name}'"),
-                ));
+                return Err(CodecError::new(at, format!("duplicate workload '{name}'")));
             }
             workloads.push(workload);
         }
         r.end()?;
         if workloads.is_empty() {
             return Err(CodecError::new(
-                workloads_line,
+                workloads_at,
                 "surrogate covers no workloads",
             ));
         }
-        let ensembles_line = r.line();
+        let ensembles_at = r.offset();
         let n_ensembles = r.begin_list("ensembles")?;
         if n_ensembles != workloads.len() {
             return Err(CodecError::new(
-                ensembles_line,
+                ensembles_at,
                 format!(
                     "surrogate holds {n_ensembles} ensemble(s) for {} workload(s)",
                     workloads.len()
@@ -368,11 +373,11 @@ impl Codec for ActivitySurrogate {
         let event_count = EventParams::names().len();
         let mut models = Vec::with_capacity(n_ensembles);
         for _ in 0..n_ensembles {
-            let events_line = r.line();
+            let events_at = r.offset();
             let n_events = r.begin_list("events")?;
             if n_events != event_count {
                 return Err(CodecError::new(
-                    events_line,
+                    events_at,
                     format!("expected {event_count} event models, found {n_events}"),
                 ));
             }
@@ -396,8 +401,10 @@ impl Codec for ActivitySurrogate {
     }
 }
 
-/// Serializes a surrogate to its version-tagged text form.
-pub fn encode_surrogate(surrogate: &ActivitySurrogate) -> String {
+/// Serializes a surrogate to its version-tagged binary form (a
+/// [`serde::codec`] stream: an `autopower-surrogate` scope holding the
+/// format version and the `surrogate` body).
+pub fn encode_surrogate(surrogate: &ActivitySurrogate) -> Vec<u8> {
     let mut w = Writer::new();
     w.begin("autopower-surrogate");
     w.u64("version", SURROGATE_FORMAT_VERSION);
@@ -406,21 +413,23 @@ pub fn encode_surrogate(surrogate: &ActivitySurrogate) -> String {
     w.finish()
 }
 
-/// Restores a surrogate from [`encode_surrogate`] text.
+/// Restores a surrogate from [`encode_surrogate`] bytes.
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::Surrogate`] on a malformed stream or version
-/// mismatch.
-pub fn decode_surrogate(text: &str) -> Result<ActivitySurrogate, AutoPowerError> {
-    let mut r = Reader::new(text);
+/// Returns [`AutoPowerError::LegacyFormat`] for bytes without the codec
+/// magic (e.g. a version-1 text file) and [`AutoPowerError::Surrogate`] on a
+/// torn or malformed stream or a version mismatch.
+pub fn decode_surrogate(bytes: &[u8]) -> Result<ActivitySurrogate, AutoPowerError> {
+    let malformed = |m: String| AutoPowerError::Surrogate(format!("malformed surrogate file: {m}"));
+    let mut r = open_stream(bytes, "surrogate", malformed)?;
     (|| -> Result<ActivitySurrogate, CodecError> {
         r.begin("autopower-surrogate")?;
-        let version_line = r.line();
+        let version_at = r.offset();
         let version = r.u64("version")?;
         if version != SURROGATE_FORMAT_VERSION {
             return Err(CodecError::new(
-                version_line,
+                version_at,
                 format!(
                     "unsupported surrogate format version {version} (this build reads version \
                      {SURROGATE_FORMAT_VERSION})"
@@ -432,10 +441,11 @@ pub fn decode_surrogate(text: &str) -> Result<ActivitySurrogate, AutoPowerError>
         r.expect_eof()?;
         Ok(surrogate)
     })()
-    .map_err(|e| AutoPowerError::Surrogate(format!("malformed surrogate file: {e}")))
+    .map_err(|e| malformed(e.to_string()))
 }
 
-/// Saves a surrogate to `path` (see [`encode_surrogate`] for the format).
+/// Saves a surrogate to `path` atomically (see [`encode_surrogate`] for the
+/// format).
 ///
 /// # Errors
 ///
@@ -444,22 +454,17 @@ pub fn save_surrogate(
     surrogate: &ActivitySurrogate,
     path: impl AsRef<Path>,
 ) -> Result<(), AutoPowerError> {
-    let path = path.as_ref();
-    std::fs::write(path, encode_surrogate(surrogate))
-        .map_err(|e| AutoPowerError::Surrogate(format!("writing {}: {e}", path.display())))
+    write_atomic(path.as_ref(), &encode_surrogate(surrogate)).map_err(AutoPowerError::Surrogate)
 }
 
 /// Loads a surrogate saved by [`save_surrogate`].
 ///
 /// # Errors
 ///
-/// Returns [`AutoPowerError::Surrogate`] if the file cannot be read or does
-/// not parse.
+/// Returns the errors of [`decode_surrogate`], or [`AutoPowerError::Surrogate`]
+/// if the file cannot be read; every one names the file.
 pub fn load_surrogate(path: impl AsRef<Path>) -> Result<ActivitySurrogate, AutoPowerError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| AutoPowerError::Surrogate(format!("reading {}: {e}", path.display())))?;
-    decode_surrogate(&text)
+    load_file(path.as_ref(), AutoPowerError::Surrogate, decode_surrogate)
 }
 
 // ---------------------------------------------------------------------------
@@ -585,16 +590,16 @@ impl Codec for AuditAccumulator {
 }
 
 impl AuditAccumulator {
-    /// Decodes the fields and closing brace of an `audit` block whose opening
-    /// line was already consumed (via `try_begin` on the optional checkpoint
+    /// Decodes the fields and scope end of an `audit` block whose opening
+    /// record was already consumed (via `try_begin` on the optional checkpoint
     /// section).
     pub(crate) fn decode_fields(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let points = r.u64("points")?;
-        let events_line = r.line();
+        let events_at = r.offset();
         let n_events = r.begin_list("events")?;
         if n_events != EventParams::names().len() {
             return Err(CodecError::new(
-                events_line,
+                events_at,
                 format!(
                     "expected {} audited event features, found {n_events}",
                     EventParams::names().len()
@@ -654,6 +659,8 @@ pub struct AuditReport {
 mod tests {
     use super::*;
     use autopower_config::HwParam;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tiny_space() -> DesignSpace {
         DesignSpace::boom()
@@ -725,8 +732,7 @@ mod tests {
     #[test]
     fn codec_roundtrips_bit_for_bit() {
         let surrogate = tiny_surrogate();
-        let text = encode_surrogate(&surrogate);
-        let restored = decode_surrogate(&text).unwrap();
+        let restored = decode_surrogate(&encode_surrogate(&surrogate)).unwrap();
         assert_eq!(restored, surrogate);
         // Same predictions bit for bit.
         let config = tiny_space().sample(1, 7)[0];
@@ -741,21 +747,65 @@ mod tests {
         );
     }
 
+    /// A surrogate stream with the given version whose body covers one
+    /// workload named `workload`, cut off right after the workload list — the
+    /// checksum is valid, so the semantic checks are what must refuse it.
+    fn stream_with(version: u64, workload: &str) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.begin("autopower-surrogate");
+        w.u64("version", version);
+        w.begin("surrogate");
+        w.u64("max_instructions", 1);
+        w.u64("stream_seed", 1);
+        w.u64("train_count", 1);
+        w.u64("train_seed", 1);
+        w.begin_list("workloads", 1);
+        w.str("name", workload);
+        w.end();
+        w.end();
+        w.end();
+        w.finish()
+    }
+
     #[test]
     fn decode_rejects_tampered_streams() {
-        let text = encode_surrogate(&tiny_surrogate());
-        let bad_version = text.replace("version 1", "version 99");
-        assert!(decode_surrogate(&bad_version)
-            .unwrap_err()
-            .to_string()
-            .contains("version"));
-        let bad_workload = text.replace("name dhrystone", "name no-such-workload");
-        assert!(decode_surrogate(&bad_workload)
-            .unwrap_err()
-            .to_string()
-            .contains("unknown workload"));
-        let truncated = &text[..text.len() / 2];
+        let err = decode_surrogate(&stream_with(99, "dhrystone")).unwrap_err();
+        assert!(err.to_string().contains("version 99"), "{err}");
+        let err = decode_surrogate(&stream_with(SURROGATE_FORMAT_VERSION, "no-such-workload"))
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown workload"), "{err}");
+        let bytes = encode_surrogate(&tiny_surrogate());
+        let truncated = &bytes[..bytes.len() / 2];
         assert!(decode_surrogate(truncated).is_err());
+    }
+
+    #[test]
+    fn load_errors_name_the_offending_file() {
+        let dir = std::env::temp_dir().join(format!("autopower-surrogate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("garbage.sur");
+        std::fs::write(&path, "not a surrogate\n").unwrap();
+        let err = load_surrogate(&path).unwrap_err();
+        assert!(matches!(err, AutoPowerError::LegacyFormat(_)));
+        assert!(err.to_string().contains("garbage.sur"), "{err}");
+        let stream = stream_with(99, "dhrystone");
+        std::fs::write(&path, &stream).unwrap();
+        let err = load_surrogate(&path).unwrap_err();
+        assert!(matches!(err, AutoPowerError::Surrogate(_)));
+        assert!(err.to_string().contains("garbage.sur"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        /// A valid encoding flipped, grown, shrunk or cut at any byte fails
+        /// to decode — with an error, never a panic and never a value.
+        #[test]
+        fn mutated_surrogate_streams_fail_to_decode(op in 0u8..4, at in 0.0f64..1.0, byte in 0u8..255) {
+            static ENCODED: OnceLock<Vec<u8>> = OnceLock::new();
+            let bytes = ENCODED.get_or_init(|| encode_surrogate(&tiny_surrogate()));
+            let mutated = crate::serialize::mutate(bytes, op, at, byte);
+            prop_assert!(decode_surrogate(&mutated).is_err());
+        }
     }
 
     #[test]
@@ -838,8 +888,8 @@ mod tests {
         // Codec roundtrip is exact (integer sums).
         let mut w = Writer::new();
         forward.encode(&mut w);
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
         let restored = AuditAccumulator::decode(&mut r).unwrap();
         r.expect_eof().unwrap();
         assert_eq!(restored, forward);

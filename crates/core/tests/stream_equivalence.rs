@@ -120,7 +120,7 @@ proptest! {
             one_shot.push(point.clone());
         }
 
-        // Fold the head, round-trip through the text codec ("the process
+        // Fold the head, round-trip through the binary codec ("the process
         // died; the checkpoint is all that survives"), fold the tail.
         let mut head = SweepAggregator::new(per_config, &spec);
         for point in &slice[..split * per_config] {
@@ -128,8 +128,8 @@ proptest! {
         }
         let mut w = Writer::new();
         head.encode(&mut w);
-        let text = w.finish();
-        let mut r = Reader::new(&text);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).expect("checkpoint stream opens");
         let mut resumed = SweepAggregator::decode(&mut r).expect("checkpoint decodes");
         r.expect_eof().expect("no trailing checkpoint bytes");
         for point in &slice[split * per_config..] {

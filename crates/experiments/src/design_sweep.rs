@@ -500,7 +500,7 @@ fn sweep_fingerprint(
         sim.interval_cycles,
     );
     let hash = fnv1a(0, canonical.as_bytes());
-    fnv1a(hash, encode_model(model).as_bytes())
+    fnv1a(hash, &encode_model(model))
 }
 
 impl Experiments {
@@ -576,8 +576,9 @@ impl Experiments {
         // Surrogate backing and constraints join the fingerprint: resuming a
         // checkpoint under a different surrogate, audit rate or feasibility
         // bound would silently mix two different sweeps.  Exact unconstrained
-        // runs fold nothing, keeping their fingerprints (and old checkpoints)
-        // unchanged.
+        // runs fold nothing extra.  (Checkpoints written before the binary
+        // format 2 are refused by the codec's magic check before any
+        // fingerprint comparison.)
         let mut extra = String::new();
         if let Some(p) = request.constraints.max_power {
             let _ = write!(extra, "max-power {:016x};", p.to_bits());
@@ -590,7 +591,7 @@ impl Experiments {
         }
         fingerprint = fnv1a(fingerprint, extra.as_bytes());
         if let Some(s) = &request.surrogate {
-            fingerprint = fnv1a(fingerprint, encode_surrogate(s.surrogate).as_bytes());
+            fingerprint = fnv1a(fingerprint, &encode_surrogate(s.surrogate));
         }
         let stream_spec = StreamSpec {
             top_k: TOP_K,

@@ -162,7 +162,7 @@ impl Codec for Standardizer {
         r.end()?;
         if means.len() != stds.len() {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!(
                     "standardizer has {} means but {} stds",
                     means.len(),

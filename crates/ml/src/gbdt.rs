@@ -290,7 +290,7 @@ impl Codec for GbdtParams {
             || !(params.lambda >= 0.0 && params.gamma >= 0.0)
         {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 "gbdt-params fail hyper-parameter validation",
             ));
         }

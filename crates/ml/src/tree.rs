@@ -433,13 +433,13 @@ impl Node {
     fn decode_bounded(r: &mut Reader<'_>, depth: usize) -> Result<Self, CodecError> {
         if depth > MAX_DECODE_DEPTH {
             return Err(CodecError::new(
-                r.line(),
+                r.offset(),
                 format!("tree nests deeper than {MAX_DECODE_DEPTH} splits"),
             ));
         }
         // Peek for the leaf shape first; trees are shallow (max_depth is
         // single-digit), so a two-way branch on the tag keeps this simple.
-        if r.try_begin("leaf")? {
+        if r.try_begin("leaf") {
             let weight = r.f64("weight")?;
             r.end()?;
             return Ok(Node::Leaf { weight });

@@ -290,8 +290,8 @@ fn torn_checkpoint_writes_always_leave_a_loadable_durable_state() {
             // file, no rename).
             Some(cut) => {
                 torn += 1;
-                let err = save_checkpoint_with(&checkpoint, &path, |tmp, text| {
-                    std::fs::write(tmp, &text[..cut])?;
+                let err = save_checkpoint_with(&checkpoint, &path, |tmp, bytes| {
+                    std::fs::write(tmp, &bytes[..cut])?;
                     Err(std::io::Error::other("injected torn write"))
                 })
                 .expect_err("a torn write must fail the save");

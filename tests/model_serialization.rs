@@ -1,13 +1,17 @@
 //! Save/load acceptance: every registry model round-trips through the
-//! registry-tagged text format with **bit-identical** predictions, the
-//! encoded text itself is a stable golden form (re-encoding a loaded model
-//! reproduces it byte for byte), and a loaded model's sweep output equals the
-//! freshly-trained model's — so a sweep service can skip retraining entirely.
+//! registry-tagged binary format with **bit-identical** predictions, the
+//! encoded bytes are a stable golden form (re-encoding a loaded model
+//! reproduces them byte for byte), and a loaded model's sweep output equals
+//! the freshly-trained model's — so a sweep service can skip retraining
+//! entirely.  Files written before the binary format 2 are refused with a
+//! typed error that names them.
 
 use autopower_repro::config::{boom_configs, ConfigId, DesignSpace, Workload};
+use autopower_repro::ml::{GbdtParams, GradientBoosting};
+use autopower_repro::model::codec::{self, Codec, Reader, Writer};
 use autopower_repro::model::{
-    decode_model, encode_model, Corpus, CorpusSpec, ModelKind, SweepEngine, SweepSpec,
-    MODEL_FORMAT_VERSION,
+    decode_model, encode_model, load_checkpoint, load_model, AutoPowerError, Corpus, CorpusSpec,
+    ModelKind, PowerModel, SweepEngine, SweepSpec, MODEL_FORMAT_VERSION,
 };
 use std::sync::OnceLock;
 
@@ -32,8 +36,8 @@ fn every_registry_model_round_trips_with_bit_identical_predictions() {
     let c = corpus();
     for kind in ModelKind::ALL {
         let trained = kind.train(c, &train_ids()).unwrap();
-        let text = encode_model(trained.as_ref());
-        let loaded = decode_model(&text).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let bytes = encode_model(trained.as_ref());
+        let loaded = decode_model(&bytes).unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(loaded.kind(), kind);
         for run in c.runs() {
             // The full typed prediction — total AND resolved structure — is
@@ -64,26 +68,33 @@ fn encoded_form_is_a_stable_golden_format() {
     let c = corpus();
     for kind in ModelKind::ALL {
         let trained = kind.train(c, &train_ids()).unwrap();
-        let text = encode_model(trained.as_ref());
-        let loaded = decode_model(&text).unwrap();
+        let bytes = encode_model(trained.as_ref());
+        let loaded = decode_model(&bytes).unwrap();
         assert_eq!(
             encode_model(loaded.as_ref()),
-            text,
+            bytes,
             "{kind} re-encoding is not canonical"
         );
-        // Header golden: first lines carry the version and the registry tag.
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("autopower-model {"));
-        assert_eq!(
-            lines.next().map(str::trim),
-            Some(format!("version {MODEL_FORMAT_VERSION}").as_str())
-        );
-        assert_eq!(
-            lines.next().map(str::trim),
-            Some(format!("kind {}", kind.registry_name()).as_str())
-        );
-        assert_eq!(text.lines().last(), Some("}"));
+        // Header golden: the codec magic, then the version and the registry
+        // tag as the first records of the top-level scope.
+        assert!(codec::has_magic(&bytes));
+        let mut r = Reader::new(&bytes).unwrap();
+        r.begin("autopower-model").unwrap();
+        assert_eq!(r.u64("version").unwrap(), MODEL_FORMAT_VERSION);
+        assert_eq!(r.str("kind").unwrap(), kind.registry_name());
     }
+}
+
+/// Encodes `model`'s body under a hand-written header.  The stream is
+/// well-formed and checksummed, so only the semantic checks can refuse it.
+fn encode_with_header(model: &dyn PowerModel, version: u64, kind: &str) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.begin("autopower-model");
+    w.u64("version", version);
+    w.str("kind", kind);
+    model.serialize(&mut w);
+    w.end();
+    w.finish()
 }
 
 #[test]
@@ -108,31 +119,112 @@ fn loaded_model_sweeps_bit_identically_to_the_trained_model() {
 fn tampered_files_fail_loudly() {
     let c = corpus();
     let trained = ModelKind::McpatCalib.train(c, &train_ids()).unwrap();
-    let text = encode_model(trained.as_ref());
+    let bytes = encode_model(trained.as_ref());
+    assert_eq!(
+        encode_with_header(trained.as_ref(), MODEL_FORMAT_VERSION, "mcpat-calib"),
+        bytes,
+        "the hand-written header must match encode_model's"
+    );
 
     // Wrong registry tag.
-    let wrong_kind = text.replacen("kind mcpat-calib", "kind autopower", 1);
+    let wrong_kind = encode_with_header(trained.as_ref(), MODEL_FORMAT_VERSION, "autopower");
     assert!(
         decode_model(&wrong_kind).is_err(),
         "kind/body mismatch must fail"
     );
 
     // Wrong version.
-    let wrong_version = text.replacen(
-        &format!("version {MODEL_FORMAT_VERSION}"),
-        "version 9999",
-        1,
-    );
+    let wrong_version = encode_with_header(trained.as_ref(), 9999, "mcpat-calib");
     let err = decode_model(&wrong_version).unwrap_err();
     assert!(err.to_string().contains("9999"));
 
     // Truncation.
-    let truncated = &text[..text.len() / 2];
+    let truncated = &bytes[..bytes.len() / 2];
     assert!(decode_model(truncated).is_err());
 
-    // Trailing garbage after the closing brace.
-    let trailing = format!("{text}\nextra 1\n");
+    // A trailing record after the closing scope, and raw bytes after the
+    // checksum trailer.
+    let mut w = Writer::new();
+    w.begin("autopower-model");
+    w.u64("version", MODEL_FORMAT_VERSION);
+    w.str("kind", "mcpat-calib");
+    trained.serialize(&mut w);
+    w.end();
+    w.u64("extra", 1);
+    let err = decode_model(&w.finish()).unwrap_err();
+    assert!(err.to_string().contains("trailing"), "{err}");
+    let mut trailing = bytes.clone();
+    trailing.extend_from_slice(b"extra 1\n");
     assert!(decode_model(&trailing).is_err());
+}
+
+#[test]
+fn a_crafted_list_length_is_an_error_not_a_panic_or_an_abort() {
+    // A GBDT whose `trees` list declares ~2^60 entries: sizing a Vec by that
+    // count would panic (capacity overflow) or abort the process on
+    // allocation.  The codec must refuse the count first.
+    let mut w = Writer::new();
+    w.begin("autopower-model");
+    w.u64("version", MODEL_FORMAT_VERSION);
+    w.str("kind", "mcpat-calib");
+    w.begin("mcpat-calib");
+    w.begin("gbdt");
+    GbdtParams::default().encode(&mut w);
+    w.f64("base_score", 0.0);
+    w.begin_list("trees", (1 << 60) - 1);
+    w.end();
+    w.end();
+    w.end();
+    w.end();
+    let bytes = w.finish();
+
+    // The GBDT decoder alone, positioned at the GBDT...
+    let mut r = Reader::new(&bytes).unwrap();
+    r.begin("autopower-model").unwrap();
+    r.u64("version").unwrap();
+    r.str("kind").unwrap();
+    r.begin("mcpat-calib").unwrap();
+    let err = GradientBoosting::decode(&mut r).unwrap_err();
+    assert!(err.to_string().contains("'trees' declares"), "{err}");
+    // ...and the full model path.
+    let err = decode_model(&bytes).unwrap_err();
+    assert!(err.to_string().contains("'trees' declares"), "{err}");
+}
+
+#[test]
+fn files_written_before_format_2_fail_with_the_typed_resave_error() {
+    let dir = std::env::temp_dir().join(format!("autopower-legacy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // The head of a version-1 text model, as the text encoding wrote it.
+    let model = dir.join("legacy-model.apm");
+    std::fs::write(
+        &model,
+        "autopower-model {\n  version 1\n  kind mcpat-calib\n  mcpat-calib {\n",
+    )
+    .unwrap();
+    let err = load_model(&model).unwrap_err();
+    assert!(matches!(err, AutoPowerError::LegacyFormat(_)), "{err:?}");
+    let message = err.to_string();
+    assert!(message.contains("legacy-model.apm"), "{message}");
+    assert!(message.contains("re-saved"), "{message}");
+
+    // The head of a version-1 text checkpoint.
+    let checkpoint = dir.join("legacy.ckpt");
+    std::fs::write(
+        &checkpoint,
+        "sweep-checkpoint {\n  version 1\n  fingerprint 42\n",
+    )
+    .unwrap();
+    let err = load_checkpoint(&checkpoint).unwrap_err();
+    assert!(matches!(err, AutoPowerError::LegacyFormat(_)), "{err:?}");
+    let message = err.to_string();
+    assert!(message.contains("legacy.ckpt"), "{message}");
+    assert!(
+        message.contains("re-saved, or the sweep rerun"),
+        "{message}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
