@@ -1,9 +1,10 @@
-//! A minimal self-describing binary codec for trained-model persistence.
+//! A minimal self-describing binary codec for AutoPower's on-disk files.
 //!
-//! The workspace cannot reach crates.io, so instead of `serde` + a format
-//! crate this module provides the small substrate the model save/load path
-//! needs: a writer/reader pair plus the [`Codec`] trait the model types
-//! implement.  Design goals, in order:
+//! Trained models, activity surrogates and sweep checkpoints are all written
+//! in this one encoding: a writer/reader pair, the [`Codec`] trait the
+//! persisted types implement, and the versioned file envelope
+//! ([`Writer::begin_file`], [`Reader::open_file`], [`Reader::close_file`])
+//! every file format sits in.  Design goals, in order:
 //!
 //! 1. **Bit-exact round trips** — every `f64` is stored as its exact IEEE-754
 //!    bits, so `decode(encode(x)) == x` bit for bit.
@@ -39,6 +40,14 @@
 //! text-mode transfer fail the magic check rather than decode; the checksum
 //! is verified before any record is read, so a torn or bit-flipped file fails
 //! as a whole instead of decoding a damaged prefix.
+//!
+//! A *file* is a stream whose only top-level record is one scope named for
+//! the file type (e.g. `autopower-model`) whose first record is a `u64`
+//! named `version`: the envelope.  [`Reader::open_file`] checks the magic,
+//! checksum, tag and version in one place, so no file format compares
+//! versions itself.
+
+#![forbid(unsafe_code)]
 
 use std::error::Error;
 use std::fmt;
@@ -244,6 +253,17 @@ impl Writer {
         }
     }
 
+    /// Opens a file envelope: scope `tag` and its format `version` record.
+    /// Close it with [`Writer::end`], then [`Writer::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is empty or longer than 255 bytes.
+    pub fn begin_file(&mut self, tag: &str, version: u64) {
+        self.begin(tag);
+        self.u64("version", version);
+    }
+
     /// Finishes the stream: appends the checksum trailer and returns the bytes.
     ///
     /// # Panics
@@ -301,6 +321,42 @@ impl<'a> Reader<'a> {
             pos: MAGIC.len(),
             end,
         })
+    }
+
+    /// Opens a file written inside [`Writer::begin_file`]: verifies the
+    /// magic and checksum ([`Reader::new`]), then enters scope `tag` and
+    /// requires its format version to be `version`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the stream does not open, the envelope
+    /// scope or its `version` record is missing, or the version differs.
+    pub fn open_file(bytes: &'a [u8], tag: &str, version: u64) -> Result<Self, CodecError> {
+        let mut r = Self::new(bytes)?;
+        r.begin(tag)?;
+        let at = r.pos;
+        let found = r.u64("version")?;
+        if found != version {
+            return Err(CodecError::new(
+                at,
+                format!(
+                    "unsupported {tag} format version {found} (this build reads version {version})"
+                ),
+            ));
+        }
+        Ok(r)
+    }
+
+    /// Closes a file opened by [`Reader::open_file`]: the envelope scope must
+    /// end, and nothing may follow it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the scope does not end next or a record
+    /// trails it.
+    pub fn close_file(&mut self) -> Result<(), CodecError> {
+        self.end()?;
+        self.expect_eof()
     }
 
     /// Consumes the next `n` bytes, or `None` if fewer remain.
@@ -722,6 +778,119 @@ mod tests {
         assert_eq!(err.offset, 0);
         assert!(err.to_string().contains("magic"));
         assert!(has_magic(&Writer::new().finish()));
+    }
+
+    /// One record of every kind inside a file envelope, written the way
+    /// every saved model, surrogate and checkpoint is.
+    fn golden_stream() -> Vec<u8> {
+        let mut w = Writer::new();
+        w.begin_file("golden", 2);
+        w.begin("scope");
+        w.f64("neg_zero", -0.0);
+        w.f64("nan", f64::from_bits(0x7FF8_0000_DEAD_BEEF));
+        w.u64("u", 0x0123_4567_89AB_CDEF);
+        w.bool("b", true);
+        w.str("s", "AutoPower");
+        w.begin_list("list", 2);
+        w.u64("n", 1);
+        w.u64("n", 2);
+        w.end();
+        w.f64_seq("seq", &[1.5, -2.25]);
+        w.end();
+        w.end();
+        w.finish()
+    }
+
+    /// The committed bytes every earlier build wrote for [`golden_stream`]:
+    /// files saved by one build must load in the next, so the encoding may
+    /// not drift by a single byte, checksum included.
+    #[rustfmt::skip]
+    const GOLDEN: [u8; 183] = [
+        // magic
+        0x89, b'A', b'P', b'B', 0x0D, 0x0A, 0x1A, 0x0A,
+        // scope "golden", u64 "version" = 2
+        0x01, 0x06, b'g', b'o', b'l', b'd', b'e', b'n',
+        0x04, 0x07, b'v', b'e', b'r', b's', b'i', b'o', b'n', 0x02, 0, 0, 0, 0, 0, 0, 0,
+        // scope "scope"
+        0x01, 0x05, b's', b'c', b'o', b'p', b'e',
+        // f64 "neg_zero" = -0.0
+        0x03, 0x08, b'n', b'e', b'g', b'_', b'z', b'e', b'r', b'o',
+        0, 0, 0, 0, 0, 0, 0, 0x80,
+        // f64 "nan" = NaN with payload 0xDEAD_BEEF
+        0x03, 0x03, b'n', b'a', b'n', 0xEF, 0xBE, 0xAD, 0xDE, 0x00, 0x00, 0xF8, 0x7F,
+        // u64 "u"
+        0x04, 0x01, b'u', 0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,
+        // bool "b" = true
+        0x05, 0x01, b'b', 0x01,
+        // str "s" = "AutoPower"
+        0x06, 0x01, b's', 0x09, 0, 0, 0, b'A', b'u', b't', b'o', b'P', b'o', b'w', b'e', b'r',
+        // list "list": scope, u64 "len" = 2, two u64 "n", scope end
+        0x01, 0x04, b'l', b'i', b's', b't',
+        0x04, 0x03, b'l', b'e', b'n', 0x02, 0, 0, 0, 0, 0, 0, 0,
+        0x04, 0x01, b'n', 0x01, 0, 0, 0, 0, 0, 0, 0,
+        0x04, 0x01, b'n', 0x02, 0, 0, 0, 0, 0, 0, 0,
+        0x02,
+        // f64_seq "seq" = [1.5, -2.25]
+        0x07, 0x03, b's', b'e', b'q', 0x02, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0xF8, 0x3F,
+        0, 0, 0, 0, 0, 0, 0x02, 0xC0,
+        // end "scope", end "golden"
+        0x02, 0x02,
+        // checksum trailer
+        0x91, 0x17, 0xF0, 0x3D, 0x32, 0x87, 0xDC, 0xA2,
+    ];
+
+    #[test]
+    fn golden_bytes_are_stable_across_builds() {
+        assert_eq!(golden_stream(), GOLDEN);
+
+        let mut r = Reader::open_file(&GOLDEN, "golden", 2).unwrap();
+        r.begin("scope").unwrap();
+        assert_eq!(r.f64("neg_zero").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.f64("nan").unwrap().to_bits(), 0x7FF8_0000_DEAD_BEEF);
+        assert_eq!(r.u64("u").unwrap(), 0x0123_4567_89AB_CDEF);
+        assert!(r.bool("b").unwrap());
+        assert_eq!(r.str("s").unwrap(), "AutoPower");
+        assert_eq!(r.begin_list("list").unwrap(), 2);
+        assert_eq!(r.u64("n").unwrap(), 1);
+        assert_eq!(r.u64("n").unwrap(), 2);
+        r.end().unwrap();
+        assert_eq!(r.f64_seq("seq").unwrap(), [1.5, -2.25]);
+        r.end().unwrap();
+        r.close_file().unwrap();
+    }
+
+    #[test]
+    fn the_envelope_checks_tag_version_and_what_follows_it() {
+        let err = Reader::open_file(&GOLDEN, "golden", 3).unwrap_err();
+        let version_at = MAGIC.len() + 2 + "golden".len();
+        assert_eq!(err.offset, version_at);
+        assert_eq!(
+            err.message,
+            "unsupported golden format version 2 (this build reads version 3)"
+        );
+
+        let err = Reader::open_file(&GOLDEN, "model", 2).unwrap_err();
+        assert!(err.to_string().contains("expected scope 'model'"), "{err}");
+        assert!(Reader::open_file(b"text", "golden", 2).is_err());
+
+        let mut w = Writer::new();
+        w.begin_file("golden", 2);
+        w.end();
+        w.u64("extra", 1);
+        let bytes = w.finish();
+        let mut r = Reader::open_file(&bytes, "golden", 2).unwrap();
+        let err = r.close_file().unwrap_err();
+        assert!(err.to_string().contains("trailing content"), "{err}");
+
+        let mut w = Writer::new();
+        w.begin_file("golden", 2);
+        w.u64("body", 1);
+        w.end();
+        let bytes = w.finish();
+        let mut r = Reader::open_file(&bytes, "golden", 2).unwrap();
+        let err = r.close_file().unwrap_err();
+        assert!(err.to_string().contains("expected scope end"), "{err}");
     }
 
     #[test]

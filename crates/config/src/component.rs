@@ -1,7 +1,6 @@
 //! The 22 design components of Table III and their hardware-parameter sensitivity lists.
 
 use crate::params::HwParam;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the 22 components the paper decomposes the BOOM core into (Table III).
@@ -9,7 +8,7 @@ use std::fmt;
 /// Each component carries the list of architecture-level hardware parameters it is
 /// sensitive to ([`Component::hw_params`]); this is the `H` feature set of its
 /// per-component sub-models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// TAGE predictor tables of the branch predictor.
     BpTage,

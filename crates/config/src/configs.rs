@@ -1,7 +1,6 @@
 //! The 15 BOOM CPU configurations of Table II.
 
 use crate::params::{HardwareParams, HwParam};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of seeded BOOM configurations (the columns of Table II).
@@ -16,7 +15,7 @@ pub const SEED_CONFIG_COUNT: u32 = 15;
 /// mistaken for a seed.  Every deterministic seed in the workspace (synthesis
 /// noise, simulator distortion) is derived from [`ConfigId::index`], which is
 /// unique across both ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigId(u32);
 
 impl ConfigId {
@@ -80,7 +79,7 @@ impl fmt::Display for ConfigId {
 }
 
 /// A named CPU configuration: an identifier plus its full hardware-parameter assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpuConfig {
     /// Identifier (`C1` … `C15` for the paper's design space).
     pub id: ConfigId,

@@ -1,6 +1,5 @@
 //! Hardware parameters (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the 14 architecture-level hardware parameters used in the paper (Table II).
@@ -8,7 +7,7 @@ use std::fmt;
 /// The paper folds a few symmetric parameters into a single row (`LDQ/STQEntry`,
 /// `Mem/FpIssueWidth`, `DCache/ICacheWay`); we keep the folded representation and expose
 /// convenience accessors on [`HardwareParams`] for the individual views.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HwParam {
     /// Number of instructions fetched per cycle.
     FetchWidth,
@@ -95,7 +94,7 @@ impl fmt::Display for HwParam {
 }
 
 /// A complete assignment of all 14 hardware parameters (one column of Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HardwareParams {
     values: [u32; 14],
 }

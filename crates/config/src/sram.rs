@@ -8,11 +8,10 @@
 //! the technology library's mapping rule.
 
 use crate::component::Component;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an SRAM Position: the owning component plus a stable short name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SramPositionId {
     /// Component the position belongs to.
     pub component: Component,
@@ -27,7 +26,7 @@ impl fmt::Display for SramPositionId {
 }
 
 /// An SRAM Position: an architecture-visible SRAM-backed structure inside a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SramPosition {
     /// Identity of the position.
     pub id: SramPositionId,

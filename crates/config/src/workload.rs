@@ -1,7 +1,6 @@
 //! Workload identifiers: the eight riscv-tests benchmarks plus the two large
 //! trace-prediction workloads (GEMM, SPMM).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the workloads used in the paper's evaluation.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The eight small workloads come from the riscv-tests benchmark suite and are used for
 /// the average-power experiments (Figs. 4–8).  GEMM and SPMM are the two large
 /// million-cycle workloads used for time-based power-trace prediction (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Workload {
     /// Dhrystone integer synthetic benchmark.
     Dhrystone,

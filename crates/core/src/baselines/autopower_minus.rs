@@ -10,11 +10,11 @@ use crate::error::AutoPowerError;
 use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::{ComponentBreakdown, Prediction};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
 use autopower_ml::{GradientBoosting, Regressor};
 use autopower_perfsim::EventParams;
 use autopower_powersim::PowerGroups;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// The four power groups a model is trained for.
 const GROUPS: usize = 4;

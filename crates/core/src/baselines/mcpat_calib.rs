@@ -5,10 +5,10 @@ use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::Prediction;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{ConfigId, CpuConfig, HwParam, Workload};
 use autopower_ml::{GradientBoosting, Matrix, Regressor};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// The McPAT-Calib-style baseline.
 ///

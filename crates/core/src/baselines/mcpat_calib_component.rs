@@ -6,10 +6,10 @@ use crate::error::AutoPowerError;
 use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::{ComponentBreakdown, Prediction};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
 use autopower_ml::{GradientBoosting, Regressor};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Per-component total-power baseline (the extra ablation of Fig. 6).
 #[derive(Debug, Clone)]

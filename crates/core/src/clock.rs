@@ -14,10 +14,10 @@ use crate::features::{
     FeatureScratch, ModelFeatures,
 };
 use crate::power_model::PredictInput;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
 use autopower_ml::{GradientBoosting, Regressor, RidgeRegression};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Per-component sub-models of the clock power model.
 #[derive(Debug, Clone)]

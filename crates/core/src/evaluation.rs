@@ -4,10 +4,9 @@ use crate::dataset::RunData;
 use crate::error::AutoPowerError;
 use autopower_config::{ConfigId, Workload};
 use autopower_ml::metrics;
-use serde::Serialize;
 
 /// One (truth, prediction) pair with its provenance, used for scatter plots (Figs. 4/5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionPair {
     /// The evaluated configuration.
     pub config: ConfigId,
@@ -20,7 +19,7 @@ pub struct PredictionPair {
 }
 
 /// Accuracy summary over a set of prediction pairs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracySummary {
     /// Mean absolute percentage error (fraction, not percent).
     pub mape: f64,

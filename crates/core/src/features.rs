@@ -1,11 +1,11 @@
 //! Feature assembly: the `H`, `E` and program-level feature vectors of the sub-models.
 
 use crate::dataset::RunData;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, CpuConfig, Workload};
 use autopower_ml::Matrix;
 use autopower_perfsim::EventParams;
 use autopower_workloads::ProgramFeatures;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Hardware-parameter (`H`) features of one component: the values of the Table III
 /// parameters the component is sensitive to.

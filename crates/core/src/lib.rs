@@ -110,7 +110,7 @@ pub use xval::{cross_validate, cross_validate_model, CrossValidation};
 /// Re-export of the codec substrate the trained-model save/load format is
 /// built on ([`PowerModel::serialize`] writes into its
 /// [`Writer`](codec::Writer)).
-pub use serde::codec;
+pub use autopower_codec as codec;
 
 /// Re-export of the golden power-group representation used for predictions as well.
 pub use autopower_powersim::PowerGroups;

@@ -16,10 +16,10 @@ use crate::features::{
     FeatureScratch, ModelFeatures,
 };
 use crate::power_model::PredictInput;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
 use autopower_ml::{GradientBoosting, Regressor, RidgeRegression};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]

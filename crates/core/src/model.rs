@@ -9,11 +9,11 @@ use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::{ComponentBreakdown, Prediction};
 use crate::serialize::{decode_library, encode_library};
 use crate::sram::SramPowerModel;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
 use autopower_perfsim::EventParams;
 use autopower_powersim::PowerGroups;
 use autopower_techlib::TechLibrary;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// The full AutoPower model: one decoupled model per power group.
 #[derive(Debug, Clone)]

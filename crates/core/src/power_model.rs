@@ -68,9 +68,9 @@ use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
 use crate::model::AutoPower;
 use crate::prediction::{ComponentBreakdown, Prediction};
+use autopower_codec::{Codec, Reader, Writer};
 use autopower_config::{ConfigId, CpuConfig, Workload};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, Reader, Writer};
 use std::fmt;
 use std::str::FromStr;
 

@@ -5,14 +5,14 @@
 //! the fitted parameter tables.  All four registry models bottom out in plain
 //! `f64` tables — ridge coefficients, boosted-tree splits and leaf weights,
 //! scaling-rule coefficients — so they serialize naturally over the
-//! [`serde::codec`] substrate, with every `f64` stored as its exact IEEE-754
+//! [`autopower_codec`] substrate, with every `f64` stored as its exact IEEE-754
 //! bits.  A model saved with [`save_model`] and restored with [`load_model`]
 //! reproduces the original model's predictions **bit for bit** (pinned by the
 //! `model_serialization` integration tests).
 //!
 //! # Format
 //!
-//! A [`serde::codec`] stream (magic, named records, checksum trailer) whose
+//! An [`autopower_codec`] file (magic, named records, checksum trailer) whose
 //! records are, in order:
 //!
 //! ```text
@@ -34,24 +34,26 @@
 
 use crate::error::AutoPowerError;
 use crate::power_model::{ModelKind, PowerModel};
+use autopower_codec::{self as codec, CodecError, Reader, Writer};
 use autopower_config::{
     sram_positions, Component, ConfigId, CpuConfig, HardwareParams, HwParam, SramPositionId,
     SEED_CONFIG_COUNT,
 };
 use autopower_techlib::{SramCompiler, SramMacro, TechLibrary};
-use serde::codec::{self, CodecError, Reader, Writer};
 use std::path::{Path, PathBuf};
 
 /// Version tag of the serialized model format; bumped on layout changes so a
 /// stale file fails loudly instead of deserializing garbage.
 pub const MODEL_FORMAT_VERSION: u64 = 2;
 
+/// Envelope tag of a model file.
+const MODEL_TAG: &str = "autopower-model";
+
 /// Serializes a trained model (any registry kind) to the registry-tagged
 /// binary format.
 pub fn encode_model(model: &dyn PowerModel) -> Vec<u8> {
     let mut w = Writer::new();
-    w.begin("autopower-model");
-    w.u64("version", MODEL_FORMAT_VERSION);
+    w.begin_file(MODEL_TAG, MODEL_FORMAT_VERSION);
     w.str("kind", model.kind().registry_name());
     model.serialize(&mut w);
     w.end();
@@ -67,19 +69,16 @@ pub fn encode_model(model: &dyn PowerModel) -> Vec<u8> {
 /// on a torn or malformed stream, a version mismatch, or an unknown registry
 /// tag.
 pub fn decode_model(bytes: &[u8]) -> Result<Box<dyn PowerModel>, AutoPowerError> {
-    let mut r = open_stream(bytes, "model", AutoPowerError::ModelFormat)?;
-    r.begin("autopower-model")?;
-    let version = r.u64("version")?;
-    if version != MODEL_FORMAT_VERSION {
-        return Err(AutoPowerError::ModelFormat(format!(
-            "unsupported format version {version} (this build reads version \
-             {MODEL_FORMAT_VERSION})"
-        )));
-    }
+    let mut r = open_file(
+        bytes,
+        "model",
+        MODEL_TAG,
+        MODEL_FORMAT_VERSION,
+        AutoPowerError::ModelFormat,
+    )?;
     let kind: ModelKind = r.str("kind")?.parse()?;
     let model = kind.decode_trained(&mut r)?;
-    r.end()?;
-    r.expect_eof()?;
+    r.close_file()?;
     Ok(model)
 }
 
@@ -112,19 +111,22 @@ impl From<CodecError> for AutoPowerError {
     }
 }
 
-/// Opens a codec stream of a `what` file (model, surrogate, checkpoint).
-/// Bytes without the codec magic are refused with the typed
-/// [`AutoPowerError::LegacyFormat`]; a torn or corrupted stream fails its
-/// checksum and is reported through `malformed`.
-pub(crate) fn open_stream<'a>(
+/// Opens the codec file envelope `tag` of a `what` file (model, surrogate,
+/// checkpoint) at format `version` ([`Reader::open_file`]).  Bytes without
+/// the codec magic are refused with the typed
+/// [`AutoPowerError::LegacyFormat`]; a torn or corrupted stream, or one of
+/// another format version, is reported through `malformed`.
+pub(crate) fn open_file<'a>(
     bytes: &'a [u8],
     what: &str,
-    malformed: fn(String) -> AutoPowerError,
+    tag: &str,
+    version: u64,
+    malformed: impl FnOnce(String) -> AutoPowerError,
 ) -> Result<Reader<'a>, AutoPowerError> {
     if !codec::has_magic(bytes) {
         return Err(AutoPowerError::LegacyFormat(format!("{what} input")));
     }
-    Reader::new(bytes).map_err(|e| malformed(e.to_string()))
+    Reader::open_file(bytes, tag, version).map_err(|e| malformed(e.to_string()))
 }
 
 /// Reads `path` whole and decodes it, naming the file in every error:
@@ -410,8 +412,8 @@ pub(crate) fn mutate(bytes: &[u8], op: u8, at: f64, byte: u8) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autopower_codec::Codec as _;
     use proptest::prelude::*;
-    use serde::codec::Codec as _;
     use std::sync::OnceLock;
 
     #[test]

@@ -9,10 +9,10 @@ use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{model_features_into, FeatureScratch, ModelFeatures};
 use crate::serialize::{decode_position, encode_position};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{ConfigId, CpuConfig, SramPositionId, Workload};
 use autopower_ml::{GradientBoosting, Matrix, Regressor};
 use autopower_perfsim::EventParams;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Read/write frequency model of one SRAM Position.
 #[derive(Debug, Clone)]

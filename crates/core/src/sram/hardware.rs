@@ -11,14 +11,13 @@
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::serialize::{decode_hw_param, decode_position, encode_hw_param, encode_position};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{ConfigId, CpuConfig, HwParam, SramPositionId};
-use serde::codec::{Codec, CodecError, Reader, Writer};
-use serde::Serialize;
 
 /// A fitted directly-proportional scaling rule: `target ≈ coefficient · Π params`.
 ///
 /// An empty parameter list models a constant target (the product over an empty set is 1).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRule {
     /// The hardware parameters whose product the target scales with.
     pub params: Vec<HwParam>,
@@ -143,7 +142,7 @@ impl Codec for ScalingRule {
 }
 
 /// Predicted shape of the SRAM Blocks of one position for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictedBlock {
     /// Predicted block width in bits.
     pub width: u32,
@@ -162,7 +161,7 @@ impl PredictedBlock {
 
 /// The hardware model of one SRAM Position: fitted scaling rules for capacity,
 /// throughput and width, from which width/depth/count are derived.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositionHardwareModel {
     position: SramPositionId,
     /// Rule for the total capacity (width × depth × count).

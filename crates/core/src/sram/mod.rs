@@ -23,10 +23,10 @@ use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{batch_feature_matrix, FeatureScratch, ModelFeatures};
 use crate::power_model::PredictInput;
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{Component, ConfigId, CpuConfig, SramPositionId, Workload};
 use autopower_perfsim::EventParams;
 use autopower_techlib::TechLibrary;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Sub-models of one SRAM Position.
 #[derive(Debug, Clone)]

@@ -37,13 +37,13 @@
 
 use crate::error::AutoPowerError;
 use crate::serialize::{
-    decode_config, encode_config, load_file, open_stream, sibling_tmp, write_atomic_with,
+    decode_config, encode_config, load_file, open_file, sibling_tmp, write_atomic_with,
 };
 use crate::surrogate::AuditAccumulator;
 use crate::sweep::{config_summary, efficiency_sort_key, ConfigSummary, SweepEngine, SweepPoint};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{CpuConfig, HwParam, Workload};
 use autopower_powersim::PowerGroups;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 use std::cmp::Ordering;
 use std::path::{Path, PathBuf};
 
@@ -214,6 +214,40 @@ impl Codec for QuantileSketch {
                     levels.len(),
                     compactions.len()
                 ),
+            ));
+        }
+        // States `insert` can never reach, which `quantile` would panic on
+        // (or silently mis-weight): a value count that disagrees with the
+        // retained values, weights `1 << level` past a u64, or a total
+        // retained weight past a u64.
+        let retained: usize = levels.iter().map(Vec::len).sum();
+        if (count == 0) != (retained == 0) {
+            return Err(CodecError::new(
+                shape_at,
+                format!("sketch counts {count} value(s) but retains {retained}"),
+            ));
+        }
+        if levels.len() > 64 {
+            return Err(CodecError::new(
+                shape_at,
+                format!(
+                    "sketch has {} levels, above the maximum of 64",
+                    levels.len()
+                ),
+            ));
+        }
+        let total_weight = levels
+            .iter()
+            .enumerate()
+            .try_fold(0u64, |total, (level, values)| {
+                (values.len() as u64)
+                    .checked_mul(1 << level)
+                    .and_then(|w| total.checked_add(w))
+            });
+        if total_weight.is_none() {
+            return Err(CodecError::new(
+                shape_at,
+                "sketch's total retained weight overflows a u64",
             ));
         }
         Ok(Self {
@@ -989,56 +1023,22 @@ pub struct SweepCheckpoint {
     pub audit: Option<AuditAccumulator>,
 }
 
-impl Codec for SweepCheckpoint {
-    fn encode(&self, w: &mut Writer) {
-        w.begin("sweep-checkpoint");
-        w.u64("version", CHECKPOINT_FORMAT_VERSION);
-        w.u64("fingerprint", self.fingerprint);
-        self.cursor.encode(w);
-        self.aggregator.encode(w);
-        // Optional trailing section: exact-backend checkpoints carry no
-        // audit records and decode with no audit state.
-        if let Some(audit) = &self.audit {
-            audit.encode(w);
-        }
-        w.end();
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.begin("sweep-checkpoint")?;
-        let version_at = r.offset();
-        let version = r.u64("version")?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(CodecError::new(
-                version_at,
-                format!(
-                    "unsupported checkpoint version {version} (this build reads version \
-                     {CHECKPOINT_FORMAT_VERSION})"
-                ),
-            ));
-        }
-        let fingerprint = r.u64("fingerprint")?;
-        let cursor = ChunkCursor::decode(r)?;
-        let aggregator = SweepAggregator::decode(r)?;
-        let audit = if r.try_begin("audit") {
-            Some(AuditAccumulator::decode_fields(r)?)
-        } else {
-            None
-        };
-        r.end()?;
-        Ok(Self {
-            fingerprint,
-            cursor,
-            aggregator,
-            audit,
-        })
-    }
-}
+/// Envelope tag of a checkpoint file.
+const CHECKPOINT_TAG: &str = "sweep-checkpoint";
 
 /// Serializes a checkpoint to its binary form.
 pub fn encode_checkpoint(checkpoint: &SweepCheckpoint) -> Vec<u8> {
     let mut w = Writer::new();
-    checkpoint.encode(&mut w);
+    w.begin_file(CHECKPOINT_TAG, CHECKPOINT_FORMAT_VERSION);
+    w.u64("fingerprint", checkpoint.fingerprint);
+    checkpoint.cursor.encode(&mut w);
+    checkpoint.aggregator.encode(&mut w);
+    // Optional trailing section: exact-backend checkpoints carry no audit
+    // records and decode with no audit state.
+    if let Some(audit) = &checkpoint.audit {
+        audit.encode(&mut w);
+    }
+    w.end();
     w.finish()
 }
 
@@ -1050,14 +1050,31 @@ pub fn encode_checkpoint(checkpoint: &SweepCheckpoint) -> Vec<u8> {
 /// magic (e.g. a version-1 text checkpoint) and [`AutoPowerError::Checkpoint`]
 /// on a torn or malformed stream or a version mismatch.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<SweepCheckpoint, AutoPowerError> {
-    let mut r = open_stream(bytes, "checkpoint", AutoPowerError::Checkpoint)?;
-    let checkpoint = SweepCheckpoint::decode(&mut r).map_err(checkpoint_err)?;
-    r.expect_eof().map_err(checkpoint_err)?;
-    Ok(checkpoint)
-}
-
-fn checkpoint_err(e: CodecError) -> AutoPowerError {
-    AutoPowerError::Checkpoint(e.to_string())
+    let mut r = open_file(
+        bytes,
+        "checkpoint",
+        CHECKPOINT_TAG,
+        CHECKPOINT_FORMAT_VERSION,
+        AutoPowerError::Checkpoint,
+    )?;
+    let checkpoint = (|| -> Result<SweepCheckpoint, CodecError> {
+        let fingerprint = r.u64("fingerprint")?;
+        let cursor = ChunkCursor::decode(&mut r)?;
+        let aggregator = SweepAggregator::decode(&mut r)?;
+        let audit = if r.try_begin("audit") {
+            Some(AuditAccumulator::decode_fields(&mut r)?)
+        } else {
+            None
+        };
+        r.close_file()?;
+        Ok(SweepCheckpoint {
+            fingerprint,
+            cursor,
+            aggregator,
+            audit,
+        })
+    })();
+    checkpoint.map_err(|e| AutoPowerError::Checkpoint(e.to_string()))
 }
 
 /// Atomically writes a checkpoint to `path` (temp file + rename, so an
@@ -1990,6 +2007,62 @@ mod tests {
         let bytes = encode_checkpoint(&without);
         assert!(!contains(&bytes, "audit"));
         assert_eq!(decode_checkpoint(&bytes).unwrap(), without);
+    }
+
+    #[test]
+    fn checksum_valid_sketch_states_insert_cannot_reach_fail_to_decode() {
+        let spec = StreamSpec {
+            top_k: 2,
+            sketch_level_capacity: 8,
+        };
+        let mut agg = SweepAggregator::new(1, &spec);
+        agg.push_summary(summary(1, 9.0, 1.0, 9.0));
+        let valid = SweepCheckpoint {
+            fingerprint: 7,
+            cursor: ChunkCursor { offset: 1 },
+            aggregator: agg,
+            audit: None,
+        };
+        assert_eq!(
+            decode_checkpoint(&encode_checkpoint(&valid)).unwrap(),
+            valid
+        );
+
+        // Each state is written by the real encoder, so the stream carries
+        // a valid checksum and reaches the sketch validator.
+        let crafted = |count: u64, levels: Vec<Vec<f64>>| {
+            let mut checkpoint = valid.clone();
+            let sketch = &mut checkpoint.aggregator.series[0].sketch;
+            sketch.count = count;
+            sketch.compactions = vec![0; levels.len()];
+            sketch.levels = levels;
+            encode_checkpoint(&checkpoint)
+        };
+        let mut top_heavy = vec![Vec::new(); 64];
+        top_heavy[63] = vec![1.0, 2.0];
+        let cases = [
+            (
+                "a count with no retained values",
+                crafted(1, vec![Vec::new()]),
+            ),
+            (
+                "retained values with a zero count",
+                crafted(0, vec![vec![1.0]]),
+            ),
+            (
+                "65 levels",
+                crafted(1, {
+                    let mut levels = vec![Vec::new(); 65];
+                    levels[0].push(1.0);
+                    levels
+                }),
+            ),
+            ("a total weight of 2^64", crafted(2, top_heavy)),
+        ];
+        for (what, bytes) in cases {
+            let err = decode_checkpoint(&bytes).expect_err(what);
+            assert!(err.to_string().contains("sketch"), "{what}: {err}");
+        }
     }
 
     proptest! {

@@ -34,23 +34,26 @@
 //! # Persistence
 //!
 //! [`save_surrogate`] / [`load_surrogate`] store a trained surrogate in the
-//! checksummed binary [`serde::codec`] format trained models use, version
+//! checksummed binary [`autopower_codec`] format trained models use, version
 //! [`SURROGATE_FORMAT_VERSION`].  A text file written before format 2 is
 //! refused with [`AutoPowerError::LegacyFormat`] and must be re-saved.
 
 use crate::error::AutoPowerError;
-use crate::serialize::{load_file, open_stream, write_atomic};
+use crate::serialize::{load_file, open_file, write_atomic};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{seed, ConfigId, DesignSpace, Workload};
 use autopower_ml::{fit_multi_output, GbdtParams, GradientBoosting, Matrix};
 use autopower_perfsim::{
     simulate_counters_with, EventParams, SimCache, SimConfig, SimKey, SimScratch,
 };
-use serde::codec::{Codec, CodecError, Reader, Writer};
 use std::path::Path;
 
 /// Version tag of the serialized surrogate format; bumped on layout changes
 /// so a stale file fails loudly instead of deserializing garbage.
 pub const SURROGATE_FORMAT_VERSION: u64 = 2;
+
+/// Envelope tag of a surrogate file.
+const SURROGATE_TAG: &str = "autopower-surrogate";
 
 /// Seed of the training-set sample of the target space.  Deliberately
 /// distinct from the sweep's own sample seed so the surrogate does not train
@@ -401,13 +404,12 @@ impl Codec for ActivitySurrogate {
     }
 }
 
-/// Serializes a surrogate to its version-tagged binary form (a
-/// [`serde::codec`] stream: an `autopower-surrogate` scope holding the
+/// Serializes a surrogate to its version-tagged binary form (an
+/// [`autopower_codec`] file: an `autopower-surrogate` envelope holding the
 /// format version and the `surrogate` body).
 pub fn encode_surrogate(surrogate: &ActivitySurrogate) -> Vec<u8> {
     let mut w = Writer::new();
-    w.begin("autopower-surrogate");
-    w.u64("version", SURROGATE_FORMAT_VERSION);
+    w.begin_file(SURROGATE_TAG, SURROGATE_FORMAT_VERSION);
     surrogate.encode(&mut w);
     w.end();
     w.finish()
@@ -422,26 +424,16 @@ pub fn encode_surrogate(surrogate: &ActivitySurrogate) -> Vec<u8> {
 /// torn or malformed stream or a version mismatch.
 pub fn decode_surrogate(bytes: &[u8]) -> Result<ActivitySurrogate, AutoPowerError> {
     let malformed = |m: String| AutoPowerError::Surrogate(format!("malformed surrogate file: {m}"));
-    let mut r = open_stream(bytes, "surrogate", malformed)?;
-    (|| -> Result<ActivitySurrogate, CodecError> {
-        r.begin("autopower-surrogate")?;
-        let version_at = r.offset();
-        let version = r.u64("version")?;
-        if version != SURROGATE_FORMAT_VERSION {
-            return Err(CodecError::new(
-                version_at,
-                format!(
-                    "unsupported surrogate format version {version} (this build reads version \
-                     {SURROGATE_FORMAT_VERSION})"
-                ),
-            ));
-        }
-        let surrogate = ActivitySurrogate::decode(&mut r)?;
-        r.end()?;
-        r.expect_eof()?;
-        Ok(surrogate)
-    })()
-    .map_err(|e| malformed(e.to_string()))
+    let mut r = open_file(
+        bytes,
+        "surrogate",
+        SURROGATE_TAG,
+        SURROGATE_FORMAT_VERSION,
+        malformed,
+    )?;
+    ActivitySurrogate::decode(&mut r)
+        .and_then(|surrogate| r.close_file().map(|()| surrogate))
+        .map_err(|e| malformed(e.to_string()))
 }
 
 /// Saves a surrogate to `path` atomically (see [`encode_surrogate`] for the

@@ -16,7 +16,6 @@ use crate::power_model::PowerModel;
 use crate::prediction::Prediction;
 use autopower_config::{ConfigId, Workload};
 use autopower_powersim::PowerTrace;
-use serde::Serialize;
 
 /// One predicted interval: the typed prediction plus its time coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +115,7 @@ impl<'a> PowerTracePredictor<'a> {
 
 /// The error figures Table IV reports for one trace: maximum-power error, minimum-power
 /// error, and the average per-interval error, all as fractions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceErrors {
     /// Relative error of the predicted maximum power.
     pub max_power_error: f64,

@@ -260,142 +260,61 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
     };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
+        // `--flag=value` and `--flag value` take one path: split once here,
+        // and a value flag reads its inline value or the next argument.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = |what: &str| match inline {
+            Some(value) => Ok(value.to_owned()),
+            None => iter
+                .next()
+                .ok_or_else(|| format!("{flag} needs {what}\n{}", usage())),
+        };
+        match flag {
+            "--threads" => parsed.threads = parse_count(&value("a value")?, flag)?,
+            "--count" => {
+                parsed.count = parse_sweep_count(&value("a value")?, flag)?;
+                parsed.count_explicit = true;
+            }
+            "--surrogate-train" => {
+                parsed.surrogate_train = Some(parse_sweep_count(&value("a value")?, flag)?);
+            }
+            "--audit-rate" => parsed.audit_rate = Some(parse_audit_rate(&value("a value")?)?),
+            "--save-surrogate" => parsed.save_surrogate = Some(value("a file path")?),
+            "--load-surrogate" => parsed.load_surrogate = Some(value("a file path")?),
+            "--max-power" => parsed.max_power = Some(parse_bound(&value("a value")?, flag)?),
+            "--min-ipc" => parsed.min_ipc = Some(parse_bound(&value("a value")?, flag)?),
+            "--chunk" => parsed.chunk = parse_sweep_count(&value("a value")?, flag)?,
+            "--checkpoint" => parsed.checkpoint = Some(value("a file path")?),
+            "--max-chunks" => {
+                parsed.max_chunks = parse_sweep_count(&value("a value")?, flag)? as u64;
+            }
+            "--model" => {
+                parsed.model = parse_model(&value("a value")?)?;
+                parsed.model_explicit = true;
+            }
+            "--load-model" => parsed.load_model = Some(value("a file path")?),
+            "--out" => parsed.out = Some(value("a file path")?),
+            // Only value flags take the `=value` form.
+            _ if inline.is_some() => return Err(format!("unknown flag '{arg}'\n{}", usage())),
             "--fast" => parsed.fast = true,
             "--no-sim-cache" => parsed.sim_cache = false,
             "--help" | "-h" => parsed.help = true,
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--threads needs a value\n{}", usage()))?;
-                parsed.threads = parse_count(&value, "--threads")?;
-            }
-            "--count" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--count needs a value\n{}", usage()))?;
-                parsed.count = parse_sweep_count(&value, "--count")?;
-                parsed.count_explicit = true;
-            }
             "--stream" => parsed.stream = true,
             "--full" => parsed.full = true,
             "--resume" => parsed.resume = true,
             "--surrogate" => parsed.surrogate = true,
-            "--surrogate-train" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--surrogate-train needs a value\n{}", usage()))?;
-                parsed.surrogate_train = Some(parse_sweep_count(&value, "--surrogate-train")?);
+            other if other.starts_with('-') => {
+                return Err(format!("unknown flag '{other}'\n{}", usage()));
             }
-            "--audit-rate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--audit-rate needs a value\n{}", usage()))?;
-                parsed.audit_rate = Some(parse_audit_rate(&value)?);
-            }
-            "--save-surrogate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--save-surrogate needs a file path\n{}", usage()))?;
-                parsed.save_surrogate = Some(value);
-            }
-            "--load-surrogate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--load-surrogate needs a file path\n{}", usage()))?;
-                parsed.load_surrogate = Some(value);
-            }
-            "--max-power" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--max-power needs a value\n{}", usage()))?;
-                parsed.max_power = Some(parse_bound(&value, "--max-power")?);
-            }
-            "--min-ipc" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--min-ipc needs a value\n{}", usage()))?;
-                parsed.min_ipc = Some(parse_bound(&value, "--min-ipc")?);
-            }
-            "--chunk" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--chunk needs a value\n{}", usage()))?;
-                parsed.chunk = parse_sweep_count(&value, "--chunk")?;
-            }
-            "--checkpoint" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--checkpoint needs a file path\n{}", usage()))?;
-                parsed.checkpoint = Some(value);
-            }
-            "--max-chunks" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--max-chunks needs a value\n{}", usage()))?;
-                parsed.max_chunks = parse_sweep_count(&value, "--max-chunks")? as u64;
-            }
-            "--model" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--model needs a value\n{}", usage()))?;
-                parsed.model = parse_model(&value)?;
-                parsed.model_explicit = true;
-            }
-            "--load-model" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--load-model needs a file path\n{}", usage()))?;
-                parsed.load_model = Some(value);
-            }
-            "--out" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--out needs a file path\n{}", usage()))?;
-                parsed.out = Some(value);
-            }
-            other => {
-                if let Some(value) = other.strip_prefix("--threads=") {
-                    parsed.threads = parse_count(value, "--threads")?;
-                } else if let Some(value) = other.strip_prefix("--count=") {
-                    parsed.count = parse_sweep_count(value, "--count")?;
-                    parsed.count_explicit = true;
-                } else if let Some(value) = other.strip_prefix("--chunk=") {
-                    parsed.chunk = parse_sweep_count(value, "--chunk")?;
-                } else if let Some(value) = other.strip_prefix("--checkpoint=") {
-                    parsed.checkpoint = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--max-chunks=") {
-                    parsed.max_chunks = parse_sweep_count(value, "--max-chunks")? as u64;
-                } else if let Some(value) = other.strip_prefix("--surrogate-train=") {
-                    parsed.surrogate_train = Some(parse_sweep_count(value, "--surrogate-train")?);
-                } else if let Some(value) = other.strip_prefix("--audit-rate=") {
-                    parsed.audit_rate = Some(parse_audit_rate(value)?);
-                } else if let Some(value) = other.strip_prefix("--save-surrogate=") {
-                    parsed.save_surrogate = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--load-surrogate=") {
-                    parsed.load_surrogate = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--max-power=") {
-                    parsed.max_power = Some(parse_bound(value, "--max-power")?);
-                } else if let Some(value) = other.strip_prefix("--min-ipc=") {
-                    parsed.min_ipc = Some(parse_bound(value, "--min-ipc")?);
-                } else if let Some(value) = other.strip_prefix("--model=") {
-                    parsed.model = parse_model(value)?;
-                    parsed.model_explicit = true;
-                } else if let Some(value) = other.strip_prefix("--load-model=") {
-                    parsed.load_model = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--out=") {
-                    parsed.out = Some(value.to_owned());
-                } else if other.starts_with('-') {
-                    return Err(format!("unknown flag '{other}'\n{}", usage()));
-                } else if other == "all" || other == SAVE_MODEL || ALL_EXPERIMENTS.contains(&other)
-                {
-                    if !parsed.requested.iter().any(|r| r == other) {
-                        parsed.requested.push(other.to_owned());
-                    }
-                } else {
-                    return Err(format!("unknown experiment '{other}'\n{}", usage()));
+            other if other == "all" || other == SAVE_MODEL || ALL_EXPERIMENTS.contains(&other) => {
+                if !parsed.requested.iter().any(|r| r == other) {
+                    parsed.requested.push(other.to_owned());
                 }
             }
+            other => return Err(format!("unknown experiment '{other}'\n{}", usage())),
         }
     }
     if parsed.requested.is_empty() || parsed.requested.iter().any(|a| a == "all") {
@@ -939,7 +858,10 @@ mod tests {
         assert!(parse_args(args(&["all", "--no-sim-cache"])).is_err());
         // `--no-sim-cache=x` is not a form the flag takes.
         let err = parse_args(args(&["sweep", "--no-sim-cache=1"])).unwrap_err();
-        assert!(err.contains("unknown flag"));
+        assert!(
+            err.contains("unknown flag '--no-sim-cache=1'"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -966,12 +888,14 @@ mod tests {
             "sweep",
             "--chunk=16",
             "--checkpoint=/tmp/s.ckpt",
+            "--max-chunks=3",
             "--resume",
         ]))
         .expect("valid arguments");
         assert_eq!(parsed.chunk, 16);
         assert!(parsed.resume);
         assert_eq!(parsed.checkpoint.as_deref(), Some("/tmp/s.ckpt"));
+        assert_eq!(parsed.max_chunks, 3);
 
         // Bad values fail with the right flag named.
         assert!(parse_args(args(&["sweep", "--chunk"])).is_err());
@@ -1084,6 +1008,18 @@ mod tests {
             parsed.surrogate_options().load.as_deref(),
             Some("/tmp/s.aps".as_ref())
         );
+        let parsed = parse_args(args(&[
+            "sweep",
+            "--surrogate",
+            "--surrogate-train=24",
+            "--save-surrogate=/tmp/t.aps",
+        ]))
+        .expect("valid arguments");
+        assert_eq!(parsed.surrogate_options().train_count, 24);
+        assert_eq!(
+            parsed.surrogate_options().save.as_deref(),
+            Some("/tmp/t.aps".as_ref())
+        );
     }
 
     #[test]
@@ -1140,6 +1076,10 @@ mod tests {
             .expect("valid arguments");
         assert_eq!(parsed.max_power, Some(12.5));
         assert_eq!(parsed.min_ipc, Some(0.8));
+        let parsed = parse_args(args(&["pareto", "--max-power=7", "--min-ipc", "0.5"]))
+            .expect("valid arguments");
+        assert_eq!(parsed.max_power, Some(7.0));
+        assert_eq!(parsed.min_ipc, Some(0.5));
         let constraints = parsed.constraints();
         assert!(constraints.is_constrained());
         assert!(constraints.validate().is_ok());

@@ -2,7 +2,7 @@
 
 use crate::error::FitError;
 use crate::validate_training_set;
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 
 /// A named feature matrix plus targets, built incrementally.
 ///

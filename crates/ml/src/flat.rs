@@ -2,7 +2,7 @@
 //! contiguous node array.
 //!
 //! The boxed [`RegressionTree`](crate::RegressionTree) nodes are the natural
-//! fit/serde representation, but traversing them pointer-chases one heap
+//! fit and on-disk representation, but traversing them pointer-chases one heap
 //! allocation per node.  A [`FlatForest`] lays every node of every tree out
 //! preorder in a single packed 16-byte-node array — split feature, threshold
 //! (or inline leaf weight) and right-child index per node; the left child is

@@ -5,10 +5,10 @@ use crate::flat::FlatForest;
 use crate::matrix::Matrix;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::{validate_matrix_training_set, validate_training_set, Regressor};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Hyper-parameters of the gradient-boosting model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +86,8 @@ impl GbdtParams {
 pub struct GradientBoosting {
     params: GbdtParams,
     base_score: f64,
-    /// The fit/serde representation: one boxed-node tree per boosting round.
+    /// The fit and on-disk representation: one boxed-node tree per boosting
+    /// round.
     trees: Vec<RegressionTree>,
     /// The inference representation, compiled from `trees` at fit and decode
     /// time (empty while unfitted).  Never serialized — `trees` is canonical.

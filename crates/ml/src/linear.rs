@@ -4,7 +4,7 @@ use crate::dataset::Standardizer;
 use crate::error::FitError;
 use crate::matrix::Matrix;
 use crate::{validate_training_set, Regressor};
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 
 /// Linear regression with an L2 penalty on the coefficients, solved in closed form.
 ///

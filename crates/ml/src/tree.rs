@@ -11,7 +11,7 @@
 
 use crate::error::FitError;
 use crate::matrix::Matrix;
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use autopower_codec::{Codec, CodecError, Reader, Writer};
 
 /// Hyper-parameters of a single regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -41,12 +41,11 @@ mod sramblocks;
 
 use autopower_config::{Component, CpuConfig, SramPositionId};
 use autopower_techlib::TechLibrary;
-use serde::Serialize;
 
 pub use sramblocks::SramBlock;
 
 /// Synthesis summary of a single component.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentNetlist {
     /// The component this summary describes.
     pub component: Component,
@@ -84,7 +83,7 @@ impl ComponentNetlist {
 }
 
 /// Synthesis summary of the whole core for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     /// The configuration that was synthesized.
     pub config: CpuConfig,

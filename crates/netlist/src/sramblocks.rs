@@ -7,13 +7,12 @@
 //! to recover them exactly from two known configurations.
 
 use autopower_config::{sram_positions_for, Component, CpuConfig, HwParam, SramPositionId};
-use serde::Serialize;
 
 /// The SRAM Blocks implementing one SRAM Position for one configuration.
 ///
 /// A position is implemented by `count` identical blocks of `width × depth` bits
 /// (a multi-bank structure when `count > 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramBlock {
     /// The SRAM Position these blocks implement.
     pub position: SramPositionId,

@@ -7,10 +7,9 @@
 
 use crate::events::EventCounters;
 use autopower_config::{sram_positions, Component, CpuConfig, HwParam, SramPositionId};
-use serde::Serialize;
 
 /// True activity of one component over a window of cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentActivity {
     /// Fraction of cycles in which the clocks of the component's *gated* registers are
     /// enabled (the true `α` of Eq. 3).
@@ -25,7 +24,7 @@ pub struct ComponentActivity {
 ///
 /// Rates are *position-level* totals (summed over all banks); per-block frequencies are
 /// obtained by dividing by the block count of the position's netlist entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionActivity {
     /// The SRAM Position.
     pub position: SramPositionId,
@@ -37,7 +36,7 @@ pub struct PositionActivity {
 }
 
 /// True activity of the whole core over a window of cycles.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivitySnapshot {
     /// Per-component activity, indexed by [`Component::ALL`] order.
     pub components: Vec<ComponentActivity>,
@@ -61,7 +60,7 @@ impl ActivitySnapshot {
 }
 
 /// Per-interval record: the interval's raw counters plus its derived true activity.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalRecord {
     /// Cycle at which the interval starts.
     pub start_cycle: u64,

@@ -2,13 +2,12 @@
 //! performance simulator such as gem5.
 
 use autopower_config::{seed, Component, ConfigId, Workload};
-use serde::Serialize;
 
 /// Raw event counters accumulated by the pipeline model over a window of cycles.
 ///
 /// These are the *true* counters of the simulated machine; the reported
 /// [`EventParams`] may be a distorted view of them (see [`EventParams::from_counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounters {
     /// Cycles elapsed in the window.
     pub cycles: u64,
@@ -154,7 +153,7 @@ const EVENT_NAMES: [&str; 25] = [
 /// configuration-and-workload-dependent distortion that emulates performance-simulator
 /// inaccuracy (the paper identifies gem5 inaccuracy as a root cause of ML power-model
 /// error); the golden power flow never uses the distorted values.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventParams {
     values: Vec<f64>,
 }

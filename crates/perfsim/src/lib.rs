@@ -50,10 +50,9 @@ pub use tlb::Tlb;
 use autopower_config::{CpuConfig, Workload};
 use autopower_workloads::StreamGenerator;
 use machine::{compact, Machine, RInstr};
-use serde::Serialize;
 
 /// Knobs of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of instructions to commit before stopping.
     pub max_instructions: u64,
@@ -93,7 +92,7 @@ impl Default for SimConfig {
 }
 
 /// Result of simulating one `(configuration, workload)` pair.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// The simulated configuration.
     pub config: CpuConfig,

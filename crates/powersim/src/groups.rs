@@ -1,6 +1,5 @@
 //! The four power groups of the paper's decomposition.
 
-use serde::Serialize;
 use std::ops::{Add, AddAssign};
 
 /// Power split into the paper's groups, in mW.
@@ -8,7 +7,7 @@ use std::ops::{Add, AddAssign};
 /// The paper decouples power into clock, SRAM and logic, and further splits logic into
 /// register (non-clock-pin) power and combinational power; this struct keeps the finer
 /// four-way split and exposes [`PowerGroups::logic`] for the coarser view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerGroups {
     /// Clock power: register clock pins + clock-gating cells, in mW.
     pub clock: f64,

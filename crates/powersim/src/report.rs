@@ -2,10 +2,9 @@
 
 use crate::groups::PowerGroups;
 use autopower_config::{Component, ConfigId, Workload};
-use serde::Serialize;
 
 /// Golden power of one component, split into groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentPower {
     /// The component.
     pub component: Component,
@@ -14,7 +13,7 @@ pub struct ComponentPower {
 }
 
 /// Golden power report of one `(configuration, workload)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// The evaluated configuration.
     pub config: ConfigId,

@@ -2,10 +2,9 @@
 
 use crate::groups::PowerGroups;
 use autopower_config::{ConfigId, Workload};
-use serde::Serialize;
 
 /// One sample of a power trace: the average power of one interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Cycle at which the interval starts.
     pub start_cycle: u64,
@@ -16,7 +15,7 @@ pub struct PowerSample {
 }
 
 /// A golden time-based power trace for one `(configuration, workload)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     /// The evaluated configuration.
     pub config: ConfigId,

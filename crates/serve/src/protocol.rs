@@ -1,7 +1,7 @@
 //! The wire protocol: length-prefixed binary frames over a byte stream.
 //!
-//! Hand-rolled because the workspace is offline — no serde-the-real-crate, no
-//! protobuf.  The shape is deliberately boring:
+//! Hand-rolled because the workspace is offline — no serialization framework,
+//! no protobuf.  The shape is deliberately boring:
 //!
 //! ```text
 //! +-------+---------+-----------+-------------+----------------------+

@@ -1,14 +1,12 @@
 //! Standard-cell parameters of the synthetic library.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-cell power/energy figures of the standard-cell library.
 ///
 /// The clock power model of the paper (Eq. 7) looks `p_reg` up "from the library file of
 /// the technology node adopted for the VLSI flow"; the other figures are used by the
 /// golden power evaluator (the PrimePower substitute) and by nothing else — the
 /// architecture-level model never sees them directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellParams {
     /// Clock-pin power of one register whose clock is active every cycle, in mW
     /// (`p_reg` of Eq. 2).

@@ -39,10 +39,8 @@ mod sram;
 pub use cells::CellParams;
 pub use sram::{BlockMapping, SramCompiler, SramMacro};
 
-use serde::{Deserialize, Serialize};
-
 /// A bundle of standard-cell parameters and the memory compiler for one technology node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechLibrary {
     /// Short name of the node (e.g. `"synthetic-40nm"`).
     pub node: String,

@@ -1,10 +1,9 @@
 //! The memory-compiler view: supported SRAM macros and the block-to-macro mapping rule.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One SRAM macro shape supported by the memory compiler, with its energy figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramMacro {
     /// Word width in bits.
     pub width: u32,
@@ -40,7 +39,7 @@ impl fmt::Display for SramMacro {
 /// block width and `cols` macros stacked on top of each other cover the block depth.
 /// `cols` is the `N_col` of Eq. 9 — a block read activates exactly one horizontal row of
 /// macros, so each macro sees `1 / cols` of the block's read (and write) traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMapping {
     /// The selected macro shape.
     pub macro_spec: SramMacro,
@@ -69,7 +68,7 @@ impl BlockMapping {
 
 /// The memory compiler: a discrete catalogue of supported macros plus the deterministic
 /// mapping rule used by the VLSI flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SramCompiler {
     macros: Vec<SramMacro>,
 }

@@ -7,14 +7,13 @@
 
 use crate::profile::WorkloadProfile;
 use autopower_config::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitecture-independent features of one workload.
 ///
 /// These depend only on the program (the workload profile), never on the CPU
 /// configuration or on the performance simulator, and are therefore immune to simulator
 /// inaccuracy — the property the paper exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgramFeatures {
     /// Total dynamic instruction count of the nominal run.
     pub instruction_count: f64,

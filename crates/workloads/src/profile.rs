@@ -2,12 +2,11 @@
 //! instruction streams.
 
 use autopower_config::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Fractions of each instruction class in the dynamic instruction stream.
 ///
 /// The six fractions must sum to 1 (within floating-point tolerance).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstrMix {
     /// Simple integer ALU operations.
     pub int_alu: f64,
@@ -73,7 +72,7 @@ impl InstrMix {
 /// Small riscv-tests workloads have a single phase; GEMM and SPMM alternate between
 /// phases with different memory intensity, which is what makes their 50-cycle power
 /// traces interesting (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Relative length of the phase (weights are normalised over the phase list).
     pub weight: f64,
@@ -92,7 +91,7 @@ pub struct Phase {
 }
 
 /// The full profile of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Which workload this profile describes.
     pub workload: Workload,

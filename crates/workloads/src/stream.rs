@@ -4,10 +4,9 @@ use crate::profile::{profile, Phase, WorkloadProfile};
 use autopower_config::{seed, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Class of a dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Simple integer ALU operation.
     IntAlu,
@@ -41,7 +40,7 @@ impl InstrKind {
 }
 
 /// One dynamic instruction of a synthetic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// Instruction class.
     pub kind: InstrKind,
