@@ -5,7 +5,7 @@
 //! rate, scaling-pattern block shapes, macro mapping …) it applies a direct ML model per
 //! component and per power group.
 
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
 use crate::power_model::{ModelKind, PowerModel};
@@ -77,25 +77,8 @@ impl AutoPowerMinus {
         Ok(Self { models })
     }
 
-    /// Predicted per-group power of one component.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`AutoPowerMinus::predict_component`] with a reusable feature scratch:
-    /// one row feeds all four group models.
+    /// Predicted per-group power of one component: one feature row feeds all
+    /// four group models.
     pub fn predict_component_with(
         &self,
         component: Component,
@@ -121,25 +104,6 @@ impl AutoPowerMinus {
             combinational: m[3].predict(row).max(0.0),
         }
     }
-
-    /// Predicted per-group power of the whole core.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        let mut total = PowerGroups::default();
-        for &c in &Component::ALL {
-            total += self.predict_component(c, config, events, workload);
-        }
-        total
-    }
-
-    /// Convenience: predicts the per-group power of a corpus run.
-    pub fn predict_run(&self, run: &RunData) -> PowerGroups {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
 }
 
 impl PowerModel for AutoPowerMinus {
@@ -149,8 +113,7 @@ impl PowerModel for AutoPowerMinus {
 
     /// Fully component- and group-resolved: the typed prediction carries one
     /// group split per component, and the core-level groups/total are their
-    /// [`Component::ALL`]-ordered sum — the exact accumulation the inherent
-    /// API performs.
+    /// [`Component::ALL`]-ordered sum (see [`ComponentBreakdown::groups`]).
     fn predict_with(
         &self,
         config: &CpuConfig,
@@ -160,17 +123,6 @@ impl PowerModel for AutoPowerMinus {
     ) -> Prediction {
         Prediction::per_component(ComponentBreakdown::from_groups(|component| {
             self.predict_component_with(component, config, events, workload, scratch)
-        }))
-    }
-
-    fn predict_components(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> Option<ComponentBreakdown> {
-        Some(ComponentBreakdown::from_groups(|component| {
-            self.predict_component(component, config, events, workload)
         }))
     }
 
@@ -263,11 +215,12 @@ mod tests {
         let c = corpus();
         let m = AutoPowerMinus::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
-        let p = m.predict_component(
+        let p = m.predict_component_with(
             Component::FuPool,
             &run.config,
             &run.sim.events,
             run.workload,
+            &mut FeatureScratch::new(),
         );
         assert!(p.sram < 1e-6, "FU pool has no SRAM, predicted {}", p.sram);
     }

@@ -1,7 +1,7 @@
 //! The "McPAT-Calib + Component" ablation baseline: one McPAT-Calib-style model per
 //! component, summed.
 
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
 use crate::power_model::{ModelKind, PowerModel};
@@ -52,24 +52,6 @@ impl McpatCalibComponent {
     }
 
     /// Predicted total power of one component in mW.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`McpatCalibComponent::predict_component`] with a reusable feature
-    /// scratch.
     pub fn predict_component_with(
         &self,
         component: Component,
@@ -89,19 +71,6 @@ impl McpatCalibComponent {
         );
         self.per_component[component.index()].predict(row).max(0.0)
     }
-
-    /// Predicted total core power in mW (sum of the component models).
-    pub fn predict(&self, config: &CpuConfig, events: &EventParams, workload: Workload) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_component(c, config, events, workload))
-            .sum()
-    }
-
-    /// Convenience: predicts the total power of a corpus run.
-    pub fn predict_run(&self, run: &RunData) -> f64 {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
 }
 
 impl PowerModel for McpatCalibComponent {
@@ -110,8 +79,8 @@ impl PowerModel for McpatCalibComponent {
     }
 
     /// Component-resolved, but without per-component groups: each component
-    /// carries its predicted scalar, and the core-level total is their sum —
-    /// exactly the summation the inherent API performs.
+    /// carries its predicted scalar, and the core-level total is their sum in
+    /// [`Component::ALL`] order.
     fn predict_with(
         &self,
         config: &CpuConfig,
@@ -121,17 +90,6 @@ impl PowerModel for McpatCalibComponent {
     ) -> Prediction {
         Prediction::per_component(ComponentBreakdown::from_totals(|component| {
             self.predict_component_with(component, config, events, workload, scratch)
-        }))
-    }
-
-    fn predict_components(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> Option<ComponentBreakdown> {
-        Some(ComponentBreakdown::from_totals(|component| {
-            self.predict_component(component, config, events, workload)
         }))
     }
 
@@ -193,11 +151,20 @@ mod tests {
         let c = corpus();
         let m = McpatCalibComponent::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
+        let mut scratch = FeatureScratch::new();
         let sum: f64 = Component::ALL
             .iter()
-            .map(|&comp| m.predict_component(comp, &run.config, &run.sim.events, run.workload))
+            .map(|&comp| {
+                m.predict_component_with(
+                    comp,
+                    &run.config,
+                    &run.sim.events,
+                    run.workload,
+                    &mut scratch,
+                )
+            })
             .sum();
-        assert!((sum - m.predict_run(run)).abs() < 1e-9);
+        assert!((sum - m.predict_total(run)).abs() < 1e-9);
     }
 
     #[test]
@@ -206,7 +173,7 @@ mod tests {
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let m = McpatCalibComponent::train(&c, &train).unwrap();
         for run in c.training_runs(&train) {
-            let pred = m.predict_run(run);
+            let pred = m.predict_total(run);
             let truth = run.golden.total_mw();
             assert!(((pred - truth) / truth).abs() < 0.15, "{pred} vs {truth}");
         }

@@ -135,11 +135,6 @@ impl ClockPowerModel {
     }
 
     /// Predicted register count of one component.
-    pub fn predict_register_count(&self, component: Component, config: &CpuConfig) -> f64 {
-        self.predict_register_count_with(component, config, &mut FeatureScratch::new())
-    }
-
-    /// [`ClockPowerModel::predict_register_count`] with a reusable scratch.
     pub fn predict_register_count_with(
         &self,
         component: Component,
@@ -155,11 +150,6 @@ impl ClockPowerModel {
     }
 
     /// Predicted gating rate of one component.
-    pub fn predict_gating_rate(&self, component: Component, config: &CpuConfig) -> f64 {
-        self.predict_gating_rate_with(component, config, &mut FeatureScratch::new())
-    }
-
-    /// [`ClockPowerModel::predict_gating_rate`] with a reusable scratch.
     pub fn predict_gating_rate_with(
         &self,
         component: Component,
@@ -175,24 +165,6 @@ impl ClockPowerModel {
     }
 
     /// Predicted effective active rate α′ of one component (mW per gated register).
-    pub fn predict_effective_active_rate(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_effective_active_rate_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`ClockPowerModel::predict_effective_active_rate`] with a reusable
-    /// scratch.
     pub fn predict_effective_active_rate_with(
         &self,
         component: Component,
@@ -217,24 +189,6 @@ impl ClockPowerModel {
     }
 
     /// Predicted clock power of one component in mW (Eq. 7).
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`ClockPowerModel::predict_component`] with feature rows assembled in a
-    /// reusable scratch (the allocation-free batch-inference path).
     pub fn predict_component_with(
         &self,
         component: Component,
@@ -251,11 +205,6 @@ impl ClockPowerModel {
     }
 
     /// Predicted clock power of the whole core in mW.
-    pub fn predict(&self, config: &CpuConfig, events: &EventParams, workload: Workload) -> f64 {
-        self.predict_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`ClockPowerModel::predict`] with a reusable feature scratch.
     pub fn predict_with(
         &self,
         config: &CpuConfig,
@@ -403,11 +352,12 @@ mod tests {
         let c = corpus();
         let model = ClockPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let test_run = c.run(ConfigId::new(8), Workload::Dhrystone).unwrap();
+        let mut scratch = FeatureScratch::new();
         let mut truths = Vec::new();
         let mut preds = Vec::new();
         for comp in Component::ALL {
             truths.push(test_run.netlist.component(comp).registers as f64);
-            preds.push(model.predict_register_count(comp, &test_run.config));
+            preds.push(model.predict_register_count_with(comp, &test_run.config, &mut scratch));
         }
         let mape = metrics::mape(&truths, &preds);
         // The paper reports ~6.9 % MAPE for R and g with 2 known configurations.
@@ -419,8 +369,9 @@ mod tests {
         let c = corpus();
         let model = ClockPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let test_run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
+        let mut scratch = FeatureScratch::new();
         for comp in Component::ALL {
-            let g = model.predict_gating_rate(comp, &test_run.config);
+            let g = model.predict_gating_rate_with(comp, &test_run.config, &mut scratch);
             assert!((0.0..=0.99).contains(&g));
             let truth = test_run.netlist.component(comp).gating_rate();
             assert!((g - truth).abs() < 0.15, "{comp}: {g} vs {truth}");
@@ -431,11 +382,17 @@ mod tests {
     fn clock_power_prediction_tracks_golden_clock_power() {
         let c = corpus();
         let model = ClockPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
+        let mut scratch = FeatureScratch::new();
         let mut truths = Vec::new();
         let mut preds = Vec::new();
         for run in c.test_runs(&[ConfigId::new(1), ConfigId::new(15)]) {
             truths.push(run.golden.total.clock);
-            preds.push(model.predict(&run.config, &run.sim.events, run.workload));
+            preds.push(model.predict_with(
+                &run.config,
+                &run.sim.events,
+                run.workload,
+                &mut scratch,
+            ));
         }
         let mape = metrics::mape(&truths, &preds);
         assert!(mape < 0.30, "clock power MAPE {mape}");
@@ -446,8 +403,9 @@ mod tests {
         let c = corpus();
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let model = ClockPowerModel::train(&c, &train).unwrap();
+        let mut scratch = FeatureScratch::new();
         for run in c.training_runs(&train) {
-            let pred = model.predict(&run.config, &run.sim.events, run.workload);
+            let pred = model.predict_with(&run.config, &run.sim.events, run.workload, &mut scratch);
             let truth = run.golden.total.clock;
             assert!(
                 ((pred - truth) / truth).abs() < 0.15,

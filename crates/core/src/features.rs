@@ -35,20 +35,14 @@ pub fn hw_feature_names(component: Component) -> Vec<String> {
         .collect()
 }
 
-/// Event-parameter (`E`) features of one component: the subset of simulator counters the
-/// component's activity depends on.
-pub fn event_features(component: Component, events: &EventParams) -> Vec<f64> {
-    events.component_features(component)
-}
-
-/// Appends the component's `E` features to `out` (the allocation-free twin of
-/// [`event_features`]).
+/// Appends the event-parameter (`E`) features of one component to `out`: the subset of
+/// simulator counters the component's activity depends on.
 pub fn event_features_into(component: Component, events: &EventParams, out: &mut Vec<f64>) {
     events.component_features_into(component, out);
 }
 
 /// Assembles one sub-model's feature matrix over a batch of points: one
-/// [`model_features`] row per point, in point order.
+/// [`model_features_into`] row per point, in point order.
 ///
 /// The rows are assembled by the same [`model_features_into`] the per-point
 /// path uses, so scoring the matrix through
@@ -150,21 +144,8 @@ impl Codec for ModelFeatures {
     }
 }
 
-/// Assembles one feature row for a `(component, configuration, workload)` sample.
-pub fn model_features(
-    which: ModelFeatures,
-    component: Component,
-    config: &CpuConfig,
-    events: &EventParams,
-    workload: Workload,
-) -> Vec<f64> {
-    let mut row = Vec::new();
-    model_features_into(which, component, config, events, workload, &mut row);
-    row
-}
-
-/// Appends one feature row to `out` (the allocation-free twin of
-/// [`model_features`]; block order is identical).
+/// Appends the feature row of one `(component, configuration, workload)` sample to `out`:
+/// the `H`, `E` and program blocks `which` selects, in that order.
 pub fn model_features_into(
     which: ModelFeatures,
     component: Component,
@@ -185,7 +166,7 @@ pub fn model_features_into(
 }
 
 /// Assembles the flat row-major training matrix of one sub-model: one
-/// [`model_features`] row per run, written back to back into a single buffer
+/// [`model_features_into`] row per run, written back to back into a single buffer
 /// (no per-row allocation).  Returns `None` when there are no runs.
 pub(crate) fn model_feature_matrix(
     which: ModelFeatures,
@@ -210,7 +191,7 @@ pub(crate) fn model_feature_matrix(
     Some(Matrix::from_flat(runs.len(), width, data))
 }
 
-/// Names of the features assembled by [`model_features`], in the same order.
+/// Names of the features assembled by [`model_features_into`], in the same order.
 pub fn model_feature_names(which: ModelFeatures, component: Component) -> Vec<String> {
     let mut names = Vec::new();
     if which.hardware {
@@ -234,6 +215,18 @@ mod tests {
     use super::*;
     use autopower_config::boom_configs;
     use autopower_perfsim::{simulate, SimConfig};
+
+    fn row(
+        which: ModelFeatures,
+        component: Component,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        model_features_into(which, component, config, events, workload, &mut out);
+        out
+    }
 
     fn sample_events() -> EventParams {
         let cfg = boom_configs()[0];
@@ -269,10 +262,10 @@ mod tests {
             ModelFeatures::HW_EVENTS_PROGRAM,
         ] {
             for c in Component::ALL {
-                let row = model_features(mode, c, &cfg, &events, Workload::Dhrystone);
+                let values = row(mode, c, &cfg, &events, Workload::Dhrystone);
                 let names = model_feature_names(mode, c);
-                assert_eq!(row.len(), names.len(), "{c} mode {mode:?}");
-                assert!(row.iter().all(|v| v.is_finite()));
+                assert_eq!(values.len(), names.len(), "{c} mode {mode:?}");
+                assert!(values.iter().all(|v| v.is_finite()));
             }
         }
     }
@@ -281,14 +274,14 @@ mod tests {
     fn program_features_extend_the_row() {
         let cfg = boom_configs()[0];
         let events = sample_events();
-        let without = model_features(
+        let without = row(
             ModelFeatures::HW_EVENTS,
             Component::Rob,
             &cfg,
             &events,
             Workload::Qsort,
         );
-        let with = model_features(
+        let with = row(
             ModelFeatures::HW_EVENTS_PROGRAM,
             Component::Rob,
             &cfg,

@@ -30,7 +30,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use autopower::{AutoPower, Corpus, CorpusSpec};
+//! use autopower::{AutoPower, Corpus, CorpusSpec, PowerModel};
 //! use autopower_config::{boom_configs, ConfigId, Workload};
 //!
 //! // Build a small corpus (three configurations, two workloads) with the fast
@@ -39,11 +39,14 @@
 //! let spec = CorpusSpec::fast();
 //! let corpus = Corpus::generate(&configs, &[Workload::Dhrystone, Workload::Vvadd], &spec);
 //!
-//! // Train on the two extreme configurations, predict the third.
+//! // Train on the two extreme configurations, predict the third.  Every
+//! // prediction goes through the `PowerModel` trait.
 //! let model = AutoPower::train(&corpus, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
 //! let run = corpus.run(ConfigId::new(8), Workload::Vvadd).unwrap();
 //! let predicted = model.predict_run(run);
 //! assert!(predicted.total() > 0.0);
+//! // AutoPower resolves the paper's four power groups.
+//! assert!(predicted.groups().is_some());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,8 +76,8 @@ pub use dataset::{Corpus, CorpusSpec, RunData};
 pub use error::AutoPowerError;
 pub use evaluation::{evaluate_totals, try_evaluate_totals, AccuracySummary, PredictionPair};
 pub use features::{
-    event_features, event_features_into, hw_feature_names, hw_features, hw_features_into,
-    model_feature_names, model_features, model_features_into, FeatureScratch, ModelFeatures,
+    event_features_into, hw_feature_names, hw_features, hw_features_into, model_feature_names,
+    model_features_into, FeatureScratch, ModelFeatures,
 };
 pub use logic::LogicPowerModel;
 pub use model::AutoPower;

@@ -146,24 +146,6 @@ impl LogicPowerModel {
     }
 
     /// Predicted register (non-clock) power of one component in mW.
-    pub fn predict_register_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_register_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`LogicPowerModel::predict_register_component`] with a reusable feature
-    /// scratch (the allocation-free batch-inference path).
     pub fn predict_register_component_with(
         &self,
         component: Component,
@@ -190,24 +172,6 @@ impl LogicPowerModel {
     }
 
     /// Predicted combinational power of one component in mW.
-    pub fn predict_comb_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_comb_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`LogicPowerModel::predict_comb_component`] with a reusable feature
-    /// scratch.
     pub fn predict_comb_component_with(
         &self,
         component: Component,
@@ -234,16 +198,6 @@ impl LogicPowerModel {
     }
 
     /// Predicted register power of the whole core in mW.
-    pub fn predict_register(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_register_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`LogicPowerModel::predict_register`] with a reusable feature scratch.
     pub fn predict_register_with(
         &self,
         config: &CpuConfig,
@@ -258,16 +212,6 @@ impl LogicPowerModel {
     }
 
     /// Predicted combinational power of the whole core in mW.
-    pub fn predict_comb(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_comb_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`LogicPowerModel::predict_comb`] with a reusable feature scratch.
     pub fn predict_comb_with(
         &self,
         config: &CpuConfig,
@@ -404,13 +348,23 @@ mod tests {
         let c = corpus();
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let model = LogicPowerModel::train(&c, &train).unwrap();
+        let mut scratch = FeatureScratch::new();
         let mut truths = Vec::new();
         let mut preds = Vec::new();
         for run in c.test_runs(&train) {
             truths.push(run.golden.total.logic());
             preds.push(
-                model.predict_register(&run.config, &run.sim.events, run.workload)
-                    + model.predict_comb(&run.config, &run.sim.events, run.workload),
+                model.predict_register_with(
+                    &run.config,
+                    &run.sim.events,
+                    run.workload,
+                    &mut scratch,
+                ) + model.predict_comb_with(
+                    &run.config,
+                    &run.sim.events,
+                    run.workload,
+                    &mut scratch,
+                ),
             );
         }
         let mape = metrics::mape(&truths, &preds);
@@ -422,9 +376,11 @@ mod tests {
         let c = corpus();
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let model = LogicPowerModel::train(&c, &train).unwrap();
+        let mut scratch = FeatureScratch::new();
         for run in c.training_runs(&train) {
             let truth = run.golden.total.combinational;
-            let pred = model.predict_comb(&run.config, &run.sim.events, run.workload);
+            let pred =
+                model.predict_comb_with(&run.config, &run.sim.events, run.workload, &mut scratch);
             assert!(((pred - truth) / truth).abs() < 0.2, "{pred} vs {truth}");
         }
     }
@@ -433,19 +389,27 @@ mod tests {
     fn predictions_are_non_negative() {
         let c = corpus();
         let model = LogicPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
+        let mut scratch = FeatureScratch::new();
         for run in c.runs() {
             for comp in Component::ALL {
+                let (config, events) = (&run.config, &run.sim.events);
                 assert!(
-                    model.predict_register_component(
+                    model.predict_register_component_with(
                         comp,
-                        &run.config,
-                        &run.sim.events,
-                        run.workload
+                        config,
+                        events,
+                        run.workload,
+                        &mut scratch
                     ) >= 0.0
                 );
                 assert!(
-                    model.predict_comb_component(comp, &run.config, &run.sim.events, run.workload)
-                        >= 0.0
+                    model.predict_comb_component_with(
+                        comp,
+                        config,
+                        events,
+                        run.workload,
+                        &mut scratch
+                    ) >= 0.0
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! The end-to-end AutoPower model: power group decoupling assembled.
 
 use crate::clock::ClockPowerModel;
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{FeatureScratch, ModelFeatures};
 use crate::logic::LogicPowerModel;
@@ -70,72 +70,35 @@ impl AutoPower {
         &self.logic
     }
 
-    /// Predicts the per-group power of one `(configuration, workload)` point from
-    /// architecture-level information only.
-    pub fn predict(
+    /// Predicts the per-group power of one component (the detail view behind
+    /// [`PowerModel::predict_components`]).
+    fn predict_component_with(
         &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        self.predict_scratch(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`AutoPower::predict`] with feature rows assembled in a reusable
-    /// scratch — the allocation-free path the batch-inference engines drive.
-    pub fn predict_scratch(
-        &self,
+        component: Component,
         config: &CpuConfig,
         events: &EventParams,
         workload: Workload,
         scratch: &mut FeatureScratch,
     ) -> PowerGroups {
         PowerGroups {
-            clock: self.clock.predict_with(config, events, workload, scratch),
-            sram: self
-                .sram
-                .predict_with(config, events, workload, &self.library, scratch),
-            register: self
-                .logic
-                .predict_register_with(config, events, workload, scratch),
-            combinational: self
-                .logic
-                .predict_comb_with(config, events, workload, scratch),
-        }
-    }
-
-    /// Predicts the per-group power of one component.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        PowerGroups {
             clock: self
                 .clock
-                .predict_component(component, config, events, workload),
-            sram: self
-                .sram
-                .predict_component(component, config, events, workload, &self.library),
+                .predict_component_with(component, config, events, workload, scratch),
+            sram: self.sram.predict_component_with(
+                component,
+                config,
+                events,
+                workload,
+                &self.library,
+                scratch,
+            ),
             register: self
                 .logic
-                .predict_register_component(component, config, events, workload),
+                .predict_register_component_with(component, config, events, workload, scratch),
             combinational: self
                 .logic
-                .predict_comb_component(component, config, events, workload),
+                .predict_comb_component_with(component, config, events, workload, scratch),
         }
-    }
-
-    /// Convenience: predicts the power of a corpus run from its reported events.
-    pub fn predict_run(&self, run: &RunData) -> PowerGroups {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
-
-    /// Predicted total power in mW for one run.
-    pub fn predict_total(&self, run: &RunData) -> f64 {
-        self.predict_run(run).total()
     }
 }
 
@@ -153,7 +116,18 @@ impl PowerModel for AutoPower {
         workload: Workload,
         scratch: &mut FeatureScratch,
     ) -> Prediction {
-        Prediction::grouped(self.predict_scratch(config, events, workload, scratch))
+        Prediction::grouped(PowerGroups {
+            clock: self.clock.predict_with(config, events, workload, scratch),
+            sram: self
+                .sram
+                .predict_with(config, events, workload, &self.library, scratch),
+            register: self
+                .logic
+                .predict_register_with(config, events, workload, scratch),
+            combinational: self
+                .logic
+                .predict_comb_with(config, events, workload, scratch),
+        })
     }
 
     /// Forest-major batch prediction: every sub-model ensemble scores the
@@ -197,8 +171,9 @@ impl PowerModel for AutoPower {
         events: &EventParams,
         workload: Workload,
     ) -> Option<ComponentBreakdown> {
+        let mut scratch = FeatureScratch::new();
         Some(ComponentBreakdown::from_groups(|component| {
-            self.predict_component(component, config, events, workload)
+            self.predict_component_with(component, config, events, workload, &mut scratch)
         }))
     }
 
@@ -271,9 +246,11 @@ mod tests {
         let c = corpus();
         let model = AutoPower::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Qsort).unwrap();
-        let p = model.predict_run(run);
+        let prediction = model.predict_run(run);
+        let p = prediction.groups().unwrap();
         assert!((p.total() - (p.clock + p.sram + p.register + p.combinational)).abs() < 1e-12);
-        assert!(p.is_physical());
+        assert_eq!(prediction.total().to_bits(), p.total().to_bits());
+        assert!(prediction.is_physical());
     }
 
     #[test]
@@ -282,10 +259,7 @@ mod tests {
         let model = AutoPower::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
         let core = model.predict_run(run);
-        let mut sum = PowerGroups::default();
-        for comp in Component::ALL {
-            sum += model.predict_component(comp, &run.config, &run.sim.events, run.workload);
-        }
+        let sum = model.predict_run_components(run).unwrap().groups().unwrap();
         assert!((sum.total() - core.total()).abs() < 1e-9);
     }
 

@@ -149,17 +149,17 @@ pub trait PowerModel: fmt::Debug + Send + Sync {
     /// Predicts per-component power, for models that resolve components
     /// (AutoPower, AutoPower−, McPAT-Calib + Component); `None` otherwise.
     ///
-    /// For models whose [`PowerModel::predict`] is already per-component this
-    /// is the same breakdown; for AutoPower it is the component-level detail
-    /// view behind the Figs. 7/8 experiments (the component sums track, but
-    /// do not bit-identically equal, the canonical core-level prediction).
+    /// The default is the breakdown [`PowerModel::predict`] carries, if any.
+    /// AutoPower overrides it with its component-level detail view behind the
+    /// Figs. 7/8 experiments (the component sums track, but do not
+    /// bit-identically equal, the canonical core-level prediction).
     fn predict_components(
         &self,
-        _config: &CpuConfig,
-        _events: &EventParams,
-        _workload: Workload,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
     ) -> Option<ComponentBreakdown> {
-        None
+        self.predict(config, events, workload).components().cloned()
     }
 
     /// Predicts the power of a corpus run from its reported events.

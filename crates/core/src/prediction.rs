@@ -15,8 +15,8 @@
 //!   per-component groups (AutoPower−, McPAT-Calib + Component).
 //!
 //! The constructors derive the total from the richest structure available, in
-//! the exact summation order the models have always used, so totals stay
-//! bit-identical to the pre-typed API.
+//! one fixed summation order, so totals are bit-identical to the goldens
+//! pinned in `tests/training_parity.rs`.
 
 use autopower_config::Component;
 use autopower_powersim::PowerGroups;

@@ -113,17 +113,6 @@ impl SramActivityModel {
     }
 
     /// Predicts `(reads_per_cycle, writes_per_cycle)` per SRAM Block.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> (f64, f64) {
-        self.predict_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`SramActivityModel::predict`] with a reusable feature scratch (the
-    /// allocation-free batch-inference path).
     pub fn predict_with(
         &self,
         config: &CpuConfig,
@@ -195,8 +184,9 @@ mod tests {
         let pos = sram_positions_for(Component::ICacheDataArray)[0].id;
         let m =
             SramActivityModel::train(pos, &c, &train, ModelFeatures::HW_EVENTS_PROGRAM).unwrap();
+        let mut scratch = FeatureScratch::new();
         for run in c.runs() {
-            let (r, w) = m.predict(&run.config, &run.sim.events, run.workload);
+            let (r, w) = m.predict_with(&run.config, &run.sim.events, run.workload, &mut scratch);
             assert!(r >= 0.0 && r.is_finite());
             assert!(w >= 0.0 && w.is_finite());
         }
@@ -209,6 +199,7 @@ mod tests {
         let pos = sram_positions_for(Component::ICacheDataArray)[0].id;
         let m =
             SramActivityModel::train(pos, &c, &train, ModelFeatures::HW_EVENTS_PROGRAM).unwrap();
+        let mut scratch = FeatureScratch::new();
         let mut truth = Vec::new();
         let mut pred = Vec::new();
         for run in c.test_runs(&train) {
@@ -219,7 +210,10 @@ mod tests {
                 .unwrap();
             let act = run.sim.activity.position(pos).unwrap();
             truth.push(act.reads_per_cycle / block.count as f64);
-            pred.push(m.predict(&run.config, &run.sim.events, run.workload).0);
+            pred.push(
+                m.predict_with(&run.config, &run.sim.events, run.workload, &mut scratch)
+                    .0,
+            );
         }
         // With one held-out configuration and three workloads we only ask for a sane
         // relative error, not a tight one.

@@ -171,26 +171,6 @@ impl SramPowerModel {
     /// Predicted power of one SRAM Position in mW.
     ///
     /// Returns `None` for positions that are not in the catalogue.
-    pub fn predict_position(
-        &self,
-        position: SramPositionId,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> Option<f64> {
-        self.predict_position_with(
-            position,
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict_position`] with a reusable feature scratch
-    /// (the allocation-free batch-inference path).
     pub fn predict_position_with(
         &self,
         position: SramPositionId,
@@ -213,25 +193,6 @@ impl SramPowerModel {
     }
 
     /// Predicted SRAM power of one component in mW (sum over its SRAM Positions).
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict_component`] with a reusable feature scratch.
     ///
     /// Iterates the fitted position models directly (they are stored in
     /// catalogue order, the same order [`sram_positions_for`](autopower_config::sram_positions_for) yields), so the
@@ -280,23 +241,6 @@ impl SramPowerModel {
     }
 
     /// Predicted SRAM power of the whole core in mW.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> f64 {
-        self.predict_with(
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict`] with a reusable feature scratch.
     pub fn predict_with(
         &self,
         config: &CpuConfig,
@@ -485,11 +429,18 @@ mod tests {
         let c = corpus();
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let model = SramPowerModel::train(&c, &train).unwrap();
+        let mut scratch = FeatureScratch::new();
         let mut truths = Vec::new();
         let mut preds = Vec::new();
         for run in c.test_runs(&train) {
             truths.push(run.golden.total.sram);
-            preds.push(model.predict(&run.config, &run.sim.events, run.workload, c.library()));
+            preds.push(model.predict_with(
+                &run.config,
+                &run.sim.events,
+                run.workload,
+                c.library(),
+                &mut scratch,
+            ));
         }
         let mape = metrics::mape(&truths, &preds);
         assert!(mape < 0.30, "SRAM power MAPE {mape}");
@@ -513,39 +464,36 @@ mod tests {
         let c = corpus();
         let model = SramPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
+        let (config, events, workload) = (&run.config, &run.sim.events, run.workload);
+        let mut scratch = FeatureScratch::new();
         let by_positions: f64 = sram_positions_for(Component::Ifu)
             .into_iter()
             .map(|p| {
                 model
-                    .predict_position(
+                    .predict_position_with(
                         p.id,
-                        &run.config,
-                        &run.sim.events,
-                        run.workload,
+                        config,
+                        events,
+                        workload,
                         c.library(),
+                        &mut scratch,
                     )
                     .unwrap()
             })
             .sum();
-        let by_component = model.predict_component(
-            Component::Ifu,
-            &run.config,
-            &run.sim.events,
-            run.workload,
-            c.library(),
-        );
-        assert!((by_positions - by_component).abs() < 1e-9);
+        let mut by_component = |component| {
+            model.predict_component_with(
+                component,
+                config,
+                events,
+                workload,
+                c.library(),
+                &mut scratch,
+            )
+        };
+        assert!((by_positions - by_component(Component::Ifu)).abs() < 1e-9);
         // Components without SRAM predict exactly zero.
-        assert_eq!(
-            model.predict_component(
-                Component::FuPool,
-                &run.config,
-                &run.sim.events,
-                run.workload,
-                c.library()
-            ),
-            0.0
-        );
+        assert_eq!(by_component(Component::FuPool), 0.0);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Per-group detail experiments: Fig. 7 (clock) and Fig. 8 (SRAM).
 //!
-//! Historically these figures hardcoded AutoPower vs AutoPower− through
-//! inherent `predict_component` methods.  They now loop over **every
-//! component-resolving registry model**
+//! Both figures loop over **every component-resolving registry model**
 //! ([`ModelKind::component_resolving`]) through the trait-level
 //! [`predict_components`](autopower::PowerModel::predict_components) view:
 //!
@@ -15,7 +13,7 @@
 
 use crate::report::{format_table, percent};
 use crate::Experiments;
-use autopower::{ClockPowerModel, ModelKind, PowerModel};
+use autopower::{ClockPowerModel, FeatureScratch, ModelKind, PowerModel};
 use autopower_config::{Component, ConfigId};
 use autopower_ml::metrics;
 use std::fmt;
@@ -323,6 +321,7 @@ impl Experiments {
                 let mut gate_truth = Vec::new();
                 let mut gate_pred = Vec::new();
                 let mut seen = Vec::new();
+                let mut scratch = FeatureScratch::new();
                 for run in &test_runs {
                     if seen.contains(&run.config.id) {
                         continue;
@@ -331,9 +330,17 @@ impl Experiments {
                     for c in Component::ALL {
                         let netlist = run.netlist.component(c);
                         reg_truth.push(netlist.registers as f64);
-                        reg_pred.push(clock.predict_register_count(c, &run.config));
+                        reg_pred.push(clock.predict_register_count_with(
+                            c,
+                            &run.config,
+                            &mut scratch,
+                        ));
                         gate_truth.push(netlist.gating_rate());
-                        gate_pred.push(clock.predict_gating_rate(c, &run.config));
+                        gate_pred.push(clock.predict_gating_rate_with(
+                            c,
+                            &run.config,
+                            &mut scratch,
+                        ));
                     }
                 }
                 Some(SubModelAccuracy {

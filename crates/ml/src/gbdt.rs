@@ -459,4 +459,54 @@ mod tests {
         let mut m = GradientBoosting::default();
         assert!(m.fit(&[], &[]).is_err());
     }
+
+    /// A one-tree model declaring `n_features` features whose root splits on
+    /// `feature`, with a valid checksum.
+    fn one_split_stream(n_features: u64, feature: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.begin("gbdt");
+        GbdtParams::default().encode(&mut w);
+        w.f64("base_score", 1.0);
+        w.begin_list("trees", 1);
+        w.begin("tree");
+        TreeParams::default().encode(&mut w);
+        w.u64("n_features", n_features);
+        w.bool("fitted", true);
+        w.begin("split");
+        w.u64("feature", feature);
+        w.f64("threshold", 0.5);
+        for weight in [-1.0, 1.0] {
+            w.begin("leaf");
+            w.f64("weight", weight);
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.end();
+        w.end();
+        w.finish()
+    }
+
+    #[test]
+    fn decode_refuses_split_features_outside_the_tree_width() {
+        let decode = |bytes: &[u8]| GradientBoosting::decode(&mut Reader::new(bytes).unwrap());
+        let ok = decode(&one_split_stream(3, 2)).unwrap();
+        assert_eq!(
+            ok.predict(&[0.0, 0.0, 1.0]),
+            ok.predict_recursive(&[0.0, 0.0, 1.0])
+        );
+        // Past the row (would panic at predict), the flat forest's leaf
+        // sentinel (would predict a wrong value silently), past `u32` (would
+        // panic while compiling the flat forest), and a width no `u32` index
+        // can address.
+        for (n_features, feature) in [
+            (3, 1000),
+            (3, u64::from(u32::MAX)),
+            (3, 1 << 32),
+            (1 << 33, 1 << 32),
+        ] {
+            let err = decode(&one_split_stream(n_features, feature)).unwrap_err();
+            assert!(err.message.contains("feature"), "{err}");
+        }
+    }
 }

@@ -94,6 +94,20 @@ impl Codec for RidgeRegression {
             None
         };
         r.end()?;
+        // `predict` zips the standardised row with the coefficients, so a
+        // count mismatch would silently drop features instead of failing.
+        if let Some(s) = &standardizer {
+            if coefficients.len() != s.width() {
+                return Err(CodecError::new(
+                    r.offset(),
+                    format!(
+                        "ridge model has {} coefficients for {} features",
+                        coefficients.len(),
+                        s.width()
+                    ),
+                ));
+            }
+        }
         Ok(Self {
             alpha,
             standardizer,
@@ -194,6 +208,34 @@ mod tests {
         m.fit(&x, &y).unwrap();
         assert!(m.is_fitted());
         assert!((m.predict(&[1.0, 7.0]) - 14.0).abs() < 1.0);
+    }
+
+    /// A fitted ridge stream whose coefficient count disagrees with its
+    /// standardizer's width, with a valid checksum.
+    fn ridge_stream(coefficients: &[f64], width: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.begin("ridge");
+        w.f64("alpha", 1e-2);
+        w.f64("intercept", 3.0);
+        w.f64_seq("coefficients", coefficients);
+        w.bool("fitted", true);
+        w.begin("standardizer");
+        w.f64_seq("means", &vec![0.0; width]);
+        w.f64_seq("stds", &vec![1.0; width]);
+        w.end();
+        w.end();
+        w.finish()
+    }
+
+    #[test]
+    fn decode_refuses_a_coefficient_count_that_disagrees_with_the_width() {
+        let decode = |bytes: &[u8]| RidgeRegression::decode(&mut Reader::new(bytes).unwrap());
+        let ok = decode(&ridge_stream(&[1.0, 2.0], 2)).unwrap();
+        assert_eq!(ok.predict(&[1.0, 1.0]), 6.0);
+        for coefficients in [&[1.0][..], &[1.0, 2.0, 3.0][..]] {
+            let err = decode(&ridge_stream(coefficients, 2)).unwrap_err();
+            assert!(err.message.contains("coefficients"), "{err}");
+        }
     }
 
     #[test]

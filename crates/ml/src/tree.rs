@@ -394,7 +394,13 @@ impl RegressionTree {
     }
 }
 
-impl Codec for Node {
+/// Deepest split nesting a decoded tree may carry.  Fitted trees are
+/// single-digit deep ([`TreeParams::max_depth`]); the bound only exists so a
+/// corrupted or crafted file fails with a [`CodecError`] instead of
+/// overflowing the stack through unbounded recursion.
+const MAX_DECODE_DEPTH: usize = 64;
+
+impl Node {
     fn encode(&self, w: &mut Writer) {
         match self {
             Node::Leaf { weight } => {
@@ -418,19 +424,9 @@ impl Codec for Node {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Node::decode_bounded(r, 0)
-    }
-}
-
-/// Deepest split nesting a decoded tree may carry.  Fitted trees are
-/// single-digit deep ([`TreeParams::max_depth`]); the bound only exists so a
-/// corrupted or crafted file fails with a [`CodecError`] instead of
-/// overflowing the stack through unbounded recursion.
-const MAX_DECODE_DEPTH: usize = 64;
-
-impl Node {
-    fn decode_bounded(r: &mut Reader<'_>, depth: usize) -> Result<Self, CodecError> {
+    /// Decodes a node whose splits must all index one of `n_features`
+    /// features, so prediction never indexes past the feature row.
+    fn decode(r: &mut Reader<'_>, depth: usize, n_features: usize) -> Result<Self, CodecError> {
         if depth > MAX_DECODE_DEPTH {
             return Err(CodecError::new(
                 r.offset(),
@@ -445,10 +441,18 @@ impl Node {
             return Ok(Node::Leaf { weight });
         }
         r.begin("split")?;
-        let feature = r.u64("feature")? as usize;
+        let at = r.offset();
+        let feature = r.u64("feature")?;
+        if feature >= n_features as u64 {
+            return Err(CodecError::new(
+                at,
+                format!("split feature {feature} out of range for a {n_features}-feature tree"),
+            ));
+        }
+        let feature = feature as usize;
         let threshold = r.f64("threshold")?;
-        let left = Box::new(Node::decode_bounded(r, depth + 1)?);
-        let right = Box::new(Node::decode_bounded(r, depth + 1)?);
+        let left = Box::new(Node::decode(r, depth + 1, n_features)?);
+        let right = Box::new(Node::decode(r, depth + 1, n_features)?);
         r.end()?;
         Ok(Node::Split {
             feature,
@@ -497,9 +501,19 @@ impl Codec for RegressionTree {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.begin("tree")?;
         let params = TreeParams::decode(r)?;
-        let n_features = r.u64("n_features")? as usize;
+        let at = r.offset();
+        let n_features = r.u64("n_features")?;
+        // The flat forest stores feature indices as `u32` (with `u32::MAX`
+        // marking a leaf), so every valid index must fit below that.
+        if n_features > u64::from(u32::MAX) {
+            return Err(CodecError::new(
+                at,
+                format!("tree declares {n_features} features, more than a u32 index holds"),
+            ));
+        }
+        let n_features = n_features as usize;
         let root = if r.bool("fitted")? {
-            Some(Node::decode(r)?)
+            Some(Node::decode(r, 0, n_features)?)
         } else {
             None
         };

@@ -310,16 +310,8 @@ impl EventParams {
         self.values[idx]
     }
 
-    /// The subset of event parameters relevant to one component (its `E` features).
-    pub fn component_features(&self, component: Component) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.component_features_into(component, &mut out);
-        out
-    }
-
-    /// Appends the component's `E` features to `out` (the allocation-free
-    /// twin of [`EventParams::component_features`], used by the batch
-    /// inference hot path).
+    /// Appends the subset of event parameters relevant to one component (its
+    /// `E` features) to `out`.
     pub fn component_features_into(&self, component: Component, out: &mut Vec<f64>) {
         out.extend(
             Self::component_feature_indices(component)
@@ -521,7 +513,8 @@ mod tests {
         let p =
             EventParams::from_counters(&sample_counters(), ConfigId::new(1), Workload::Vvadd, 0.0);
         for c in Component::ALL {
-            let f = p.component_features(c);
+            let mut f = Vec::new();
+            p.component_features_into(c, &mut f);
             assert!(!f.is_empty());
             assert_eq!(f.len(), EventParams::component_feature_names(c).len());
             assert!(f.iter().all(|v| v.is_finite()));

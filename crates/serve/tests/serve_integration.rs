@@ -14,7 +14,7 @@ use autopower_serve::client::{Client, ClientError};
 use autopower_serve::protocol::{
     read_frame, write_frame, ErrorCode, Frame, ServedPoint, MAGIC, PROTOCOL_VERSION,
 };
-use autopower_serve::server::{ServeOptions, Server};
+use autopower_serve::server::{ServeError, ServeOptions, Server};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -157,6 +157,45 @@ proptest! {
             assert_matches_offline(batch, &reference);
         }
         stop(server);
+    }
+}
+
+#[test]
+fn cold_start_refuses_bad_model_files() {
+    let fx = fixture();
+    let missing = scratch_path("missing");
+    let not_a_model = scratch_path("not-a-model");
+    std::fs::write(&not_a_model, b"autopower model v1\n").expect("write text file");
+    let truncated = scratch_path("truncated");
+    let bytes = std::fs::read(&fx.autopower).expect("read fixture model");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("write truncated model");
+
+    for path in [&missing, &not_a_model, &truncated] {
+        match Server::start("127.0.0.1:0", vec![path.clone()], ServeOptions::default()) {
+            Err(err @ ServeError::Model(_)) => {
+                let message = err.to_string();
+                assert!(
+                    message.contains(&*path.to_string_lossy()),
+                    "{message:?} does not name {}",
+                    path.display()
+                );
+            }
+            Err(other) => panic!("{}: expected a model error, got {other}", path.display()),
+            Ok(server) => {
+                stop(server);
+                panic!("{} started a server", path.display());
+            }
+        }
+    }
+
+    let twice = vec![fx.autopower.clone(), fx.autopower.clone()];
+    match Server::start("127.0.0.1:0", twice, ServeOptions::default()) {
+        Err(ServeError::Config(message)) => assert!(message.contains("duplicate"), "{message}"),
+        Err(other) => panic!("expected a configuration error, got {other}"),
+        Ok(server) => {
+            stop(server);
+            panic!("the same model twice started a server");
+        }
     }
 }
 

@@ -1,12 +1,12 @@
-//! Trait-path parity: for every registry model, typed predictions made through
-//! `Box<dyn PowerModel>` are bit-identical to the inherent-method predictions
-//! (totals AND resolved structure), and the model-agnostic engines (sweep,
-//! trace, xval) accept baselines.  These tests pin the acceptance criterion of
-//! the typed-`Prediction` redesign: totals never moved, and no consumer reads
-//! a parked group slot from a total-only model.
+//! Registry-level prediction contracts: every registry model resolves exactly
+//! the structure its [`ModelKind`] entry declares (a total-only model carries
+//! no group slot to misread), and the model-agnostic engines (sweep, trace,
+//! xval) run under any model held as `&dyn PowerModel`.  Totals themselves are
+//! pinned bit for bit by the goldens in `tests/training_parity.rs`.
+//!
+//! [`ModelKind`]: autopower_repro::model::ModelKind
 
 use autopower_repro::config::{boom_configs, Component, ConfigId, DesignSpace, Workload};
-use autopower_repro::model::baselines::{AutoPowerMinus, McpatCalib, McpatCalibComponent};
 use autopower_repro::model::{
     cross_validate_model, AutoPower, Corpus, CorpusSpec, ModelKind, PowerModel,
     PowerTracePredictor, Resolution, SweepEngine, SweepSpec,
@@ -36,107 +36,43 @@ fn bits(groups: PowerGroups) -> [u64; 4] {
 }
 
 #[test]
-fn autopower_trait_predictions_are_bit_identical_to_inherent() {
+fn every_model_resolves_the_shape_its_registry_entry_declares() {
     let c = corpus();
-    let inherent = AutoPower::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
-    for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        let legacy = inherent.predict_run(run);
-        assert!(matches!(typed.resolution(), Resolution::Grouped(_)));
-        assert_eq!(bits(typed.groups().unwrap()), bits(legacy));
-        assert_eq!(typed.total().to_bits(), legacy.total().to_bits());
-        assert_eq!(
-            boxed.predict_total(run).to_bits(),
-            inherent.predict_total(run).to_bits()
-        );
-    }
-}
-
-#[test]
-fn autopower_component_view_matches_inherent_predict_component() {
-    let c = corpus();
-    let inherent = AutoPower::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
-    for run in c.runs() {
-        let breakdown = boxed.predict_run_components(run).unwrap();
-        for component in Component::ALL {
-            let legacy =
-                inherent.predict_component(component, &run.config, &run.sim.events, run.workload);
-            let entry = breakdown.component(component);
-            assert_eq!(bits(entry.groups.unwrap()), bits(legacy));
-            assert_eq!(entry.total.to_bits(), legacy.total().to_bits());
-        }
-    }
-}
-
-#[test]
-fn autopower_minus_trait_predictions_are_bit_identical_to_inherent() {
-    let c = corpus();
-    let inherent = AutoPowerMinus::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::AutoPowerMinus.train(&c, &train_ids()).unwrap();
-    for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        let legacy = inherent.predict_run(run);
-        // AutoPower− is fully component-resolved; its core-level groups are
-        // the Component::ALL-ordered sum — bit-identical to the inherent
-        // accumulation loop.
-        assert!(matches!(typed.resolution(), Resolution::PerComponent(_)));
-        assert_eq!(bits(typed.groups().unwrap()), bits(legacy));
-        assert_eq!(typed.total().to_bits(), legacy.total().to_bits());
-        let breakdown = typed.components().unwrap();
-        for component in Component::ALL {
-            let legacy_component =
-                inherent.predict_component(component, &run.config, &run.sim.events, run.workload);
+    for kind in ModelKind::ALL {
+        let model = kind.train(&c, &train_ids()).unwrap();
+        for run in c.runs() {
+            let prediction = model.predict_run(run);
+            let components = model.predict_run_components(run);
             assert_eq!(
-                bits(breakdown.component(component).groups.unwrap()),
-                bits(legacy_component)
+                prediction.groups().is_some(),
+                kind.resolves_groups(),
+                "{kind}"
             );
-        }
-    }
-}
-
-#[test]
-fn mcpat_calib_trait_totals_are_bit_identical_to_inherent() {
-    let c = corpus();
-    let inherent = McpatCalib::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::McpatCalib.train(&c, &train_ids()).unwrap();
-    for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        // The inherent API predicts a scalar; the typed prediction carries it
-        // as TotalOnly — same bits, and no group structure to misread.
-        assert_eq!(typed.total().to_bits(), inherent.predict_run(run).to_bits());
-        assert!(matches!(typed.resolution(), Resolution::TotalOnly));
-        assert!(typed.groups().is_none());
-        assert!(typed.components().is_none());
-        assert!(boxed.predict_run_components(run).is_none());
-    }
-}
-
-#[test]
-fn mcpat_calib_component_trait_totals_are_bit_identical_to_inherent() {
-    let c = corpus();
-    let inherent = McpatCalibComponent::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::McpatCalibComponent
-        .train(&c, &train_ids())
-        .unwrap();
-    for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        assert_eq!(typed.total().to_bits(), inherent.predict_run(run).to_bits());
-        // Component-resolved but without per-component groups: each entry
-        // carries the inherent per-component scalar, no group split.
-        assert!(typed.groups().is_none());
-        let breakdown = typed.components().unwrap();
-        assert!(!breakdown.resolves_groups());
-        for component in Component::ALL {
-            let entry = breakdown.component(component);
-            assert!(entry.groups.is_none());
+            assert_eq!(components.is_some(), kind.resolves_components(), "{kind}");
             assert_eq!(
-                entry.total.to_bits(),
-                inherent
-                    .predict_component(component, &run.config, &run.sim.events, run.workload)
-                    .to_bits()
+                model.predict_total(run).to_bits(),
+                prediction.total().to_bits(),
+                "{kind}"
             );
+            match prediction.resolution() {
+                Resolution::TotalOnly => assert_eq!(kind, ModelKind::McpatCalib),
+                Resolution::Grouped(_) => assert_eq!(kind, ModelKind::AutoPower),
+                Resolution::PerComponent(breakdown) => {
+                    // A per-component model's component view is the breakdown
+                    // its prediction carries.
+                    assert_eq!(components.as_ref(), Some(breakdown), "{kind}");
+                    // Where components carry groups (AutoPower−), the core
+                    // groups are their Component::ALL-ordered sum.
+                    if kind == ModelKind::AutoPowerMinus {
+                        let mut sum = PowerGroups::default();
+                        for component in Component::ALL {
+                            sum += breakdown.component(component).groups.unwrap();
+                        }
+                        assert_eq!(bits(prediction.groups().unwrap()), bits(sum));
+                        assert_eq!(prediction.total().to_bits(), sum.total().to_bits());
+                    }
+                }
+            }
         }
     }
 }
@@ -149,9 +85,8 @@ fn sweep_engine_under_dyn_autopower_matches_the_inherent_model() {
     let configs = DesignSpace::boom().sample(6, 7);
     let workloads = [Workload::Dhrystone, Workload::Vvadd];
     let spec = SweepSpec::fast().threads(1);
-    // The default AutoPower sweep path is bit-identical before and after the
-    // trait refactor: an engine over the inherent model and one over the
-    // boxed trait object score the same points.
+    // An engine over the concrete model and one over the boxed trait object
+    // score the same points.
     let via_inherent = SweepEngine::new(&inherent, spec).run(&configs, &workloads);
     let via_trait = SweepEngine::new(boxed.as_ref(), spec).run(&configs, &workloads);
     assert_eq!(via_inherent, via_trait);
