@@ -7,14 +7,20 @@
 //! cross-validation engines actually pay per point.  The `gbdt_fit_*` benches
 //! isolate the boosting trainer itself (120 trees, the paper's setting) on a
 //! synthetic 128 × 32 design so the pre-sorted tree builder is measured
-//! without any substrate cost.
+//! without any substrate cost.  `predict_batch_512_autopower` scores one
+//! sweep chunk — 64 sampled configurations × the 8 riscv-tests workloads,
+//! events simulated up front — through `PowerModel::predict_batch_with`, the
+//! call the sweep engine makes per chunk.
 //!
 //! Run with `cargo bench --bench models [filter] [--json FILE]`.
 
-use autopower::{Corpus, CorpusSpec, ModelKind, PowerModel};
+use autopower::{
+    AutoPower, Corpus, CorpusSpec, FeatureScratch, ModelKind, PowerModel, PredictInput,
+};
 use autopower_bench::harness::Bench;
-use autopower_config::{boom_configs, ConfigId, Workload};
+use autopower_config::{boom_configs, ConfigId, DesignSpace, Workload};
 use autopower_ml::{GbdtParams, GradientBoosting, Matrix};
+use autopower_perfsim::{simulate, SimConfig};
 use std::hint::black_box;
 
 /// Synthetic paper-scale regression design: 128 samples × 32 features.
@@ -96,6 +102,42 @@ fn main() {
             runs.iter().map(|run| model.predict_total(run)).sum::<f64>()
         });
     }
+
+    // One sweep chunk through the batched scoring path, with a model trained
+    // on C1 + C15 over all eight workloads (the perfbench sweeps' setting).
+    let train_corpus = Corpus::generate(
+        &[cfgs[0], cfgs[14]],
+        &Workload::RISCV_TESTS,
+        &CorpusSpec::fast(),
+    );
+    let autopower = AutoPower::train(&train_corpus, &train).expect("training succeeds");
+    let configs = DesignSpace::boom().sample(64, 11);
+    let sims: Vec<_> = configs
+        .iter()
+        .flat_map(|config| {
+            Workload::RISCV_TESTS.into_iter().map(move |workload| {
+                (
+                    config,
+                    workload,
+                    simulate(config, workload, &SimConfig::fast()),
+                )
+            })
+        })
+        .collect();
+    let inputs: Vec<PredictInput<'_>> = sims
+        .iter()
+        .map(|(config, workload, sim)| PredictInput {
+            config,
+            events: &sim.events,
+            workload: *workload,
+        })
+        .collect();
+    let mut scratch = FeatureScratch::new();
+    let mut predictions = Vec::new();
+    bench.bench("predict_batch_512_autopower", || {
+        autopower.predict_batch_with(&inputs, &mut scratch, &mut predictions);
+        black_box(predictions.last().map(|p| p.total()))
+    });
 
     bench.finish();
 }

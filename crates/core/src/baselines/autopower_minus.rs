@@ -7,7 +7,10 @@
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
+use crate::features::{
+    check_width, model_feature_matrix, model_feature_names, model_features_into, FeatureScratch,
+    ModelFeatures,
+};
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::{ComponentBreakdown, Prediction};
 use autopower_codec::{Codec, CodecError, Reader, Writer};
@@ -159,7 +162,7 @@ impl Codec for AutoPowerMinus {
             ));
         }
         let mut models = Vec::with_capacity(components);
-        for _ in 0..components {
+        for component in Component::ALL {
             let groups = r.begin_list("groups")?;
             if groups != GROUPS {
                 return Err(CodecError::new(
@@ -167,9 +170,17 @@ impl Codec for AutoPowerMinus {
                     format!("autopower-minus has {groups} group models, expected {GROUPS}"),
                 ));
             }
+            let width = model_feature_names(ModelFeatures::HW_EVENTS, component).len();
             let mut fitted = Vec::with_capacity(GROUPS);
-            for _ in 0..GROUPS {
-                fitted.push(GradientBoosting::decode(r)?);
+            for group in 0..GROUPS {
+                let model = GradientBoosting::decode(r)?;
+                check_width(
+                    r,
+                    format_args!("{component} AutoPower- group {group} model"),
+                    model.n_features(),
+                    width,
+                )?;
+                fitted.push(model);
             }
             r.end()?;
             models.push(

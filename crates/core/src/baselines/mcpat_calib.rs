@@ -2,7 +2,7 @@
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::FeatureScratch;
+use crate::features::{check_width, FeatureScratch};
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::Prediction;
 use autopower_codec::{Codec, CodecError, Reader, Writer};
@@ -98,6 +98,8 @@ impl Codec for McpatCalib {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.begin("mcpat-calib")?;
         let model = GradientBoosting::decode(r)?;
+        let width = HwParam::ALL.len() + EventParams::names().len();
+        check_width(r, "McPAT-Calib model", model.n_features(), width)?;
         r.end()?;
         Ok(Self { model })
     }
@@ -145,6 +147,30 @@ mod tests {
         let run = &c.runs()[0];
         let row = McpatCalib::features(&run.config, &run.sim.events);
         assert_eq!(row.len(), 14 + EventParams::names().len());
+    }
+
+    #[test]
+    fn decode_refuses_a_model_fitted_on_rows_wider_than_its_features() {
+        let c = corpus();
+        let runs = c.training_runs(&[ConfigId::new(1), ConfigId::new(15)]);
+        // One extra column past the assembled row, carrying the target.
+        let mut data = Vec::new();
+        for run in &runs {
+            McpatCalib::features_into(&run.config, &run.sim.events, &mut data);
+            data.push(run.golden.total_mw());
+        }
+        let matrix = Matrix::from_flat(runs.len(), data.len() / runs.len(), data);
+        let targets: Vec<f64> = runs.iter().map(|r| r.golden.total_mw()).collect();
+        let mut model = GradientBoosting::default();
+        model.fit_matrix(&matrix, &targets).unwrap();
+        let err = crate::decode_model(&crate::encode_model(&McpatCalib { model })).unwrap_err();
+        assert!(matches!(err, AutoPowerError::ModelFormat(_)), "{err}");
+        let width = 14 + EventParams::names().len();
+        let expected = format!(
+            "McPAT-Calib model was fitted on {} features, but its rows carry {width}",
+            width + 1
+        );
+        assert!(err.to_string().contains(&expected), "{err}");
     }
 
     #[test]

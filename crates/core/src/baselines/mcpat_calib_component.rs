@@ -3,7 +3,10 @@
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
+use crate::features::{
+    check_width, model_feature_matrix, model_feature_names, model_features_into, FeatureScratch,
+    ModelFeatures,
+};
 use crate::power_model::{ModelKind, PowerModel};
 use crate::prediction::{ComponentBreakdown, Prediction};
 use autopower_codec::{Codec, CodecError, Reader, Writer};
@@ -122,8 +125,15 @@ impl Codec for McpatCalibComponent {
             ));
         }
         let mut per_component = Vec::with_capacity(len);
-        for _ in 0..len {
-            per_component.push(GradientBoosting::decode(r)?);
+        for component in Component::ALL {
+            let model = GradientBoosting::decode(r)?;
+            check_width(
+                r,
+                format_args!("{component} McPAT-Calib + Component model"),
+                model.n_features(),
+                model_feature_names(ModelFeatures::HW_EVENTS, component).len(),
+            )?;
+            per_component.push(model);
         }
         r.end()?;
         r.end()?;

@@ -10,8 +10,8 @@
 use crate::dataset::{Corpus, RunData};
 use crate::error::AutoPowerError;
 use crate::features::{
-    batch_feature_matrix, hw_features, hw_features_into, model_feature_matrix, model_features_into,
-    FeatureScratch, ModelFeatures,
+    batch_feature_matrix, check_width, hw_features, hw_features_into, model_feature_matrix,
+    model_feature_names, model_features_into, FeatureScratch, ModelFeatures,
 };
 use crate::power_model::PredictInput;
 use autopower_codec::{Codec, CodecError, Reader, Writer};
@@ -306,8 +306,27 @@ impl Codec for ClockPowerModel {
             ));
         }
         let mut per_component = Vec::with_capacity(len);
-        for _ in 0..len {
-            per_component.push(ComponentClockModel::decode(r)?);
+        for component in Component::ALL {
+            let model = ComponentClockModel::decode(r)?;
+            let hw = model_feature_names(ModelFeatures::HW_ONLY, component).len();
+            let hw_events = model_feature_names(ModelFeatures::HW_EVENTS, component).len();
+            for (what, fitted, width) in [
+                ("register-count", model.freg.n_features(), hw),
+                ("gating-rate", model.fgate.n_features(), hw),
+                (
+                    "effective-active-rate",
+                    model.falpha.n_features(),
+                    hw_events,
+                ),
+            ] {
+                check_width(
+                    r,
+                    format_args!("{component} clock {what} model"),
+                    fitted,
+                    width,
+                )?;
+            }
+            per_component.push(model);
         }
         r.end()?;
         r.end()?;

@@ -6,6 +6,7 @@ use autopower_config::{Component, CpuConfig, Workload};
 use autopower_ml::Matrix;
 use autopower_perfsim::EventParams;
 use autopower_workloads::ProgramFeatures;
+use std::fmt;
 
 /// Hardware-parameter (`H`) features of one component: the values of the Table III
 /// parameters the component is sensitive to.
@@ -162,6 +163,30 @@ pub fn model_features_into(
     }
     if which.program {
         ProgramFeatures::of(workload).push_into(out);
+    }
+}
+
+/// Refuses a decoded sub-model unless it was fitted on rows of exactly
+/// `width` features, the width of the rows its feature assembly feeds it.
+///
+/// `fitted` is the sub-model's own width (`None` if it is unfitted).  A
+/// checksum-valid file can carry a self-consistent model of another width;
+/// predicting with it would index past the row, a panic per request in a
+/// server worker.  Decoding is where that is cheap to catch and where the
+/// error can name the file.
+pub(crate) fn check_width(
+    r: &Reader<'_>,
+    what: impl fmt::Display,
+    fitted: Option<usize>,
+    width: usize,
+) -> Result<(), CodecError> {
+    match fitted {
+        Some(n) if n == width => Ok(()),
+        Some(n) => Err(CodecError::new(
+            r.offset(),
+            format!("{what} was fitted on {n} features, but its rows carry {width}"),
+        )),
+        None => Err(CodecError::new(r.offset(), format!("{what} is not fitted"))),
     }
 }
 

@@ -12,8 +12,8 @@
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{
-    batch_feature_matrix, hw_features, hw_features_into, model_feature_matrix, model_features_into,
-    FeatureScratch, ModelFeatures,
+    batch_feature_matrix, check_width, hw_features, hw_features_into, model_feature_matrix,
+    model_feature_names, model_features_into, FeatureScratch, ModelFeatures,
 };
 use crate::power_model::PredictInput;
 use autopower_codec::{Codec, CodecError, Reader, Writer};
@@ -318,8 +318,27 @@ impl Codec for LogicPowerModel {
             ));
         }
         let mut per_component = Vec::with_capacity(len);
-        for _ in 0..len {
-            per_component.push(ComponentLogicModel::decode(r)?);
+        for component in Component::ALL {
+            let model = ComponentLogicModel::decode(r)?;
+            let hw = model_feature_names(ModelFeatures::HW_ONLY, component).len();
+            let hw_events = model_feature_names(ModelFeatures::HW_EVENTS, component).len();
+            for (what, fitted, width) in [
+                ("register hardware", model.reg_hardware.n_features(), hw),
+                (
+                    "register activity",
+                    model.reg_activity.n_features(),
+                    hw_events,
+                ),
+                ("combinational stable", model.comb_stable.n_features(), hw),
+                (
+                    "combinational variation",
+                    model.comb_variation.n_features(),
+                    hw_events,
+                ),
+            ] {
+                check_width(r, format_args!("{component} {what} model"), fitted, width)?;
+            }
+            per_component.push(model);
         }
         r.end()?;
         r.end()?;

@@ -7,7 +7,9 @@
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_features_into, FeatureScratch, ModelFeatures};
+use crate::features::{
+    check_width, model_feature_names, model_features_into, FeatureScratch, ModelFeatures,
+};
 use crate::serialize::{decode_position, encode_position};
 use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{ConfigId, CpuConfig, SramPositionId, Workload};
@@ -152,6 +154,15 @@ impl Codec for SramActivityModel {
         let feature_mode = ModelFeatures::decode(r)?;
         let read_model = GradientBoosting::decode(r)?;
         let write_model = GradientBoosting::decode(r)?;
+        let width = model_feature_names(feature_mode, position.component).len();
+        for (what, model) in [("read", &read_model), ("write", &write_model)] {
+            check_width(
+                r,
+                format_args!("{position} SRAM {what} model"),
+                model.n_features(),
+                width,
+            )?;
+        }
         r.end()?;
         Ok(Self {
             position,

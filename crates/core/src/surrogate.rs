@@ -39,6 +39,7 @@
 //! refused with [`AutoPowerError::LegacyFormat`] and must be re-saved.
 
 use crate::error::AutoPowerError;
+use crate::features::check_width;
 use crate::serialize::{load_file, open_file, write_atomic};
 use autopower_codec::{Codec, CodecError, Reader, Writer};
 use autopower_config::{seed, ConfigId, DesignSpace, Workload};
@@ -385,8 +386,15 @@ impl Codec for ActivitySurrogate {
                 ));
             }
             let mut ensemble = Vec::with_capacity(n_events);
-            for _ in 0..n_events {
-                ensemble.push(GradientBoosting::decode(r)?);
+            for event in EventParams::names() {
+                let model = GradientBoosting::decode(r)?;
+                check_width(
+                    r,
+                    format_args!("surrogate {event} model"),
+                    model.n_features(),
+                    SimKey::FEATURE_COUNT,
+                )?;
+                ensemble.push(model);
             }
             r.end()?;
             models.push(ensemble);
@@ -769,6 +777,26 @@ mod tests {
         let bytes = encode_surrogate(&tiny_surrogate());
         let truncated = &bytes[..bytes.len() / 2];
         assert!(decode_surrogate(truncated).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_ensembles_fitted_on_rows_wider_than_the_sim_key() {
+        let width = SimKey::FEATURE_COUNT + 1;
+        let x: Vec<Vec<f64>> = (0..8)
+            .map(|i| (0..width).map(|j| (i * (j + 1)) as f64).collect())
+            .collect();
+        let y: Vec<f64> = (0..8).map(f64::from).collect();
+        let mut wide = GradientBoosting::new(surrogate_gbdt_params());
+        wide.fit_matrix(&Matrix::from_rows(&x), &y).unwrap();
+        let mut surrogate = tiny_surrogate();
+        surrogate.models[0][1] = wide;
+        let err = decode_surrogate(&encode_surrogate(&surrogate)).unwrap_err();
+        assert!(matches!(err, AutoPowerError::Surrogate(_)), "{err}");
+        let expected = format!(
+            "surrogate {} model was fitted on {width} features",
+            EventParams::names()[1]
+        );
+        assert!(err.to_string().contains(&expected), "{err}");
     }
 
     #[test]

@@ -21,6 +21,11 @@ pub enum FitError {
     NonFiniteValue,
     /// The normal-equation system is singular and cannot be solved.
     SingularSystem,
+    /// A boosted ensemble does not fit the compiled forest form: a tree
+    /// deeper than [`MAX_FOREST_DEPTH`](crate::MAX_FOREST_DEPTH), a split
+    /// feature past `u32`, or more distinct split thresholds than `u16` ids
+    /// address.
+    ForestTooLarge,
 }
 
 impl fmt::Display for FitError {
@@ -34,6 +39,10 @@ impl fmt::Display for FitError {
             ),
             FitError::NonFiniteValue => write!(f, "training data contains a non-finite value"),
             FitError::SingularSystem => write!(f, "normal equations are singular"),
+            FitError::ForestTooLarge => write!(
+                f,
+                "ensemble is too deep or has too many distinct split thresholds to compile"
+            ),
         }
     }
 }
@@ -56,6 +65,7 @@ mod tests {
             .to_string(),
             FitError::NonFiniteValue.to_string(),
             FitError::SingularSystem.to_string(),
+            FitError::ForestTooLarge.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -1,7 +1,7 @@
 //! Gradient-boosted regression trees (a small, faithful XGBoost stand-in).
 
 use crate::error::FitError;
-use crate::flat::FlatForest;
+use crate::flat::{FlatForest, MAX_FOREST_DEPTH};
 use crate::matrix::Matrix;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::{validate_matrix_training_set, validate_training_set, Regressor};
@@ -17,7 +17,7 @@ pub struct GbdtParams {
     pub n_estimators: usize,
     /// Shrinkage applied to each tree's contribution.
     pub learning_rate: f64,
-    /// Maximum depth of each tree.
+    /// Maximum depth of each tree, at most [`MAX_FOREST_DEPTH`].
     pub max_depth: usize,
     /// Minimum hessian sum per child.
     pub min_child_weight: f64,
@@ -55,9 +55,14 @@ impl GbdtParams {
     ///
     /// # Panics
     ///
-    /// Panics if a fraction is outside `(0, 1]` or a count is zero.
+    /// Panics if a fraction is outside `(0, 1]`, a count is zero, or
+    /// `max_depth` exceeds [`MAX_FOREST_DEPTH`].
     pub fn validate(&self) {
         assert!(self.n_estimators > 0, "need at least one boosting round");
+        assert!(
+            self.max_depth <= MAX_FOREST_DEPTH,
+            "max_depth must be at most {MAX_FOREST_DEPTH}"
+        );
         assert!(
             self.learning_rate > 0.0 && self.learning_rate <= 1.0,
             "learning rate must be in (0, 1]"
@@ -89,8 +94,10 @@ pub struct GradientBoosting {
     /// The fit and on-disk representation: one boxed-node tree per boosting
     /// round.
     trees: Vec<RegressionTree>,
-    /// The inference representation, compiled from `trees` at fit and decode
-    /// time (empty while unfitted).  Never serialized — `trees` is canonical.
+    /// The inference representation: `trees` compiled into a threshold
+    /// dictionary and complete trees of dictionary ids with pre-shrunk leaves
+    /// (see [`FlatForest`]), at fit and decode time (empty while unfitted).
+    /// Never serialized — `trees` is canonical.
     flat: FlatForest,
 }
 
@@ -116,6 +123,12 @@ impl GradientBoosting {
         self.trees.len()
     }
 
+    /// Width of the rows the ensemble was fitted on (`None` before fitting):
+    /// every prediction must get a row of exactly this many features.
+    pub fn n_features(&self) -> Option<usize> {
+        self.trees.first().map(RegressionTree::n_features)
+    }
+
     /// Whether the model has been fitted.
     pub fn is_fitted(&self) -> bool {
         !self.trees.is_empty() || self.base_score != 0.0
@@ -135,7 +148,9 @@ impl GradientBoosting {
     /// # Errors
     ///
     /// Returns [`FitError`] if the data is empty, non-finite, or the target
-    /// length does not match.
+    /// length does not match, and [`FitError::ForestTooLarge`] if the fitted
+    /// ensemble has more distinct split thresholds than the compiled forest
+    /// addresses.
     pub fn fit_matrix(&mut self, x: &Matrix, y: &[f64]) -> Result<(), FitError> {
         let width = validate_matrix_training_set(x, y)?;
         let n = x.rows();
@@ -222,7 +237,7 @@ impl GradientBoosting {
             }
             self.trees.push(tree);
         }
-        self.flat = FlatForest::compile(self.base_score, self.params.learning_rate, &self.trees);
+        self.flat = FlatForest::compile(self.base_score, self.params.learning_rate, &self.trees)?;
         Ok(())
     }
 
@@ -285,6 +300,7 @@ impl Codec for GbdtParams {
         };
         r.end()?;
         if params.n_estimators == 0
+            || params.max_depth > MAX_FOREST_DEPTH
             || !(params.learning_rate > 0.0 && params.learning_rate <= 1.0)
             || !(params.subsample > 0.0 && params.subsample <= 1.0)
             || !(params.colsample > 0.0 && params.colsample <= 1.0)
@@ -319,14 +335,42 @@ impl Codec for GradientBoosting {
         let len = r.begin_list("trees")?;
         let mut trees = Vec::with_capacity(len);
         for _ in 0..len {
-            trees.push(crate::tree::RegressionTree::decode(r)?);
+            let at = r.offset();
+            let tree = RegressionTree::decode(r)?;
+            // Every tree reads the rows the ensemble was fitted on, so one
+            // width (`n_features`) describes the whole ensemble.
+            if let Some(first) = trees.first().map(RegressionTree::n_features) {
+                if tree.n_features() != first {
+                    return Err(CodecError::new(
+                        at,
+                        format!(
+                            "tree reads {} features but the ensemble's first tree reads {first}",
+                            tree.n_features()
+                        ),
+                    ));
+                }
+            }
+            // A tree decodes only within its own `max_depth`, and that may not
+            // exceed the ensemble's (which `GbdtParams` caps): the compiled
+            // forest never meets a tree deeper than `MAX_FOREST_DEPTH`.
+            if tree.params().max_depth > params.max_depth {
+                return Err(CodecError::new(
+                    at,
+                    format!(
+                        "tree max_depth {} exceeds the ensemble's {}",
+                        tree.params().max_depth,
+                        params.max_depth
+                    ),
+                ));
+            }
+            trees.push(tree);
         }
         r.end()?;
         r.end()?;
-        // Loaded models serve predictions from the same compiled flat path as
-        // freshly trained ones: cold-starting from a file inherits the batched
-        // inference layout for free.
-        let flat = FlatForest::compile(base_score, params.learning_rate, &trees);
+        // Loaded models serve predictions from the same compiled forest as
+        // freshly trained ones.
+        let flat = FlatForest::compile(base_score, params.learning_rate, &trees)
+            .map_err(|e| CodecError::new(r.offset(), e.to_string()))?;
         Ok(Self {
             params,
             base_score,
@@ -460,44 +504,73 @@ mod tests {
         assert!(m.fit(&[], &[]).is_err());
     }
 
-    /// A one-tree model declaring `n_features` features whose root splits on
-    /// `feature`, with a valid checksum.
-    fn one_split_stream(n_features: u64, feature: u64) -> Vec<u8> {
+    /// A one-tree model whose ensemble and tree declare `ensemble_depth` and
+    /// `tree_depth` as their `max_depth`, whose tree declares `n_features`
+    /// features and nests `nest` splits on `feature` down its left side,
+    /// with a valid checksum.
+    fn tree_stream(
+        ensemble_depth: usize,
+        tree_depth: usize,
+        n_features: u64,
+        feature: u64,
+        nest: usize,
+    ) -> Vec<u8> {
+        fn split(w: &mut Writer, feature: u64, nest: usize) {
+            if nest == 0 {
+                w.begin("leaf");
+                w.f64("weight", 1.0);
+                w.end();
+                return;
+            }
+            w.begin("split");
+            w.u64("feature", feature);
+            w.f64("threshold", 0.5);
+            split(w, feature, nest - 1);
+            split(w, feature, 0);
+            w.end();
+        }
         let mut w = Writer::new();
         w.begin("gbdt");
-        GbdtParams::default().encode(&mut w);
+        GbdtParams {
+            max_depth: ensemble_depth,
+            ..GbdtParams::default()
+        }
+        .encode(&mut w);
         w.f64("base_score", 1.0);
         w.begin_list("trees", 1);
         w.begin("tree");
-        TreeParams::default().encode(&mut w);
+        TreeParams {
+            max_depth: tree_depth,
+            ..TreeParams::default()
+        }
+        .encode(&mut w);
         w.u64("n_features", n_features);
         w.bool("fitted", true);
-        w.begin("split");
-        w.u64("feature", feature);
-        w.f64("threshold", 0.5);
-        for weight in [-1.0, 1.0] {
-            w.begin("leaf");
-            w.f64("weight", weight);
-            w.end();
-        }
-        w.end();
+        split(&mut w, feature, nest);
         w.end();
         w.end();
         w.end();
         w.finish()
     }
 
+    /// [`tree_stream`] for a depth-3 ensemble holding one single-split tree.
+    fn one_split_stream(n_features: u64, feature: u64) -> Vec<u8> {
+        tree_stream(3, 3, n_features, feature, 1)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<GradientBoosting, CodecError> {
+        GradientBoosting::decode(&mut Reader::new(bytes).unwrap())
+    }
+
     #[test]
     fn decode_refuses_split_features_outside_the_tree_width() {
-        let decode = |bytes: &[u8]| GradientBoosting::decode(&mut Reader::new(bytes).unwrap());
         let ok = decode(&one_split_stream(3, 2)).unwrap();
         assert_eq!(
             ok.predict(&[0.0, 0.0, 1.0]),
             ok.predict_recursive(&[0.0, 0.0, 1.0])
         );
-        // Past the row (would panic at predict), the flat forest's leaf
-        // sentinel (would predict a wrong value silently), past `u32` (would
-        // panic while compiling the flat forest), and a width no `u32` index
+        // Past the row (would panic at predict), at and past `u32` (the
+        // threshold dictionary's feature index), and a width no `u32` index
         // can address.
         for (n_features, feature) in [
             (3, 1000),
@@ -507,6 +580,40 @@ mod tests {
         ] {
             let err = decode(&one_split_stream(n_features, feature)).unwrap_err();
             assert!(err.message.contains("feature"), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_depth")]
+    fn validate_refuses_depths_past_the_forest_cap() {
+        let _ = GradientBoosting::new(GbdtParams {
+            max_depth: MAX_FOREST_DEPTH + 1,
+            ..GbdtParams::default()
+        });
+    }
+
+    #[test]
+    fn decode_refuses_trees_past_their_depth_or_the_forest_cap() {
+        let cap = MAX_FOREST_DEPTH;
+        // A tree as deep as the cap allows decodes and walks like the oracle.
+        let deepest = decode(&tree_stream(cap, cap, 2, 1, cap)).unwrap();
+        for row in [[0.0, 0.0], [0.0, 1.0], [0.0, f64::NAN]] {
+            assert_eq!(
+                deepest.predict(&row).to_bits(),
+                deepest.predict_recursive(&row).to_bits()
+            );
+        }
+        for (bytes, needle) in [
+            // The ensemble's own max_depth past the cap.
+            (tree_stream(cap + 1, cap + 1, 2, 1, 1), "hyper-parameter"),
+            // A tree nesting deeper than its own max_depth.
+            (tree_stream(3, 3, 2, 1, 4), "deeper"),
+            (tree_stream(cap, cap, 2, 1, cap + 1), "deeper"),
+            // A tree whose max_depth exceeds the ensemble's.
+            (tree_stream(3, cap, 2, 1, 4), "exceeds"),
+        ] {
+            let err = decode(&bytes).unwrap_err();
+            assert!(err.message.contains(needle), "{err}");
         }
     }
 }

@@ -50,7 +50,7 @@ mod tree;
 
 pub use dataset::{Dataset, Standardizer};
 pub use error::FitError;
-pub use flat::FlatForest;
+pub use flat::{FlatForest, MAX_FOREST_DEPTH};
 pub use gbdt::{GbdtParams, GradientBoosting};
 pub use linear::RidgeRegression;
 pub use matrix::Matrix;

@@ -57,6 +57,12 @@ impl RidgeRegression {
         self.intercept
     }
 
+    /// Width of the rows the model was fitted on (`None` before fitting):
+    /// every prediction must get a row of exactly this many features.
+    pub fn n_features(&self) -> Option<usize> {
+        self.standardizer.as_ref().map(Standardizer::width)
+    }
+
     /// Whether the model has been fitted.
     pub fn is_fitted(&self) -> bool {
         self.standardizer.is_some()

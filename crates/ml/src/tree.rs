@@ -388,16 +388,26 @@ impl RegressionTree {
         self.root.as_ref().map_or(0, count)
     }
 
+    /// The hyper-parameters.
+    pub(crate) fn params(&self) -> &TreeParams {
+        &self.params
+    }
+
+    /// Width of the rows the tree was fitted on (0 before fitting).
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// The fitted root node, for the flat-forest compiler.
     pub(crate) fn root_node(&self) -> Option<&Node> {
         self.root.as_ref()
     }
 }
 
-/// Deepest split nesting a decoded tree may carry.  Fitted trees are
-/// single-digit deep ([`TreeParams::max_depth`]); the bound only exists so a
-/// corrupted or crafted file fails with a [`CodecError`] instead of
-/// overflowing the stack through unbounded recursion.
+/// Deepest split nesting a decoded tree may carry, whatever its
+/// [`TreeParams::max_depth`] says: the bound only exists so a corrupted or
+/// crafted file fails with a [`CodecError`] instead of overflowing the stack
+/// through unbounded recursion.
 const MAX_DECODE_DEPTH: usize = 64;
 
 impl Node {
@@ -424,15 +434,16 @@ impl Node {
         }
     }
 
-    /// Decodes a node whose splits must all index one of `n_features`
-    /// features, so prediction never indexes past the feature row.
-    fn decode(r: &mut Reader<'_>, depth: usize, n_features: usize) -> Result<Self, CodecError> {
-        if depth > MAX_DECODE_DEPTH {
-            return Err(CodecError::new(
-                r.offset(),
-                format!("tree nests deeper than {MAX_DECODE_DEPTH} splits"),
-            ));
-        }
+    /// Decodes a node `depth` splits below the root whose splits must all
+    /// index one of `n_features` features, so prediction never indexes past
+    /// the feature row, and nest at most `max_depth` deep, the depth the
+    /// tree was fitted to.
+    fn decode(
+        r: &mut Reader<'_>,
+        depth: usize,
+        max_depth: usize,
+        n_features: usize,
+    ) -> Result<Self, CodecError> {
         // Peek for the leaf shape first; trees are shallow (max_depth is
         // single-digit), so a two-way branch on the tag keeps this simple.
         if r.try_begin("leaf") {
@@ -442,6 +453,12 @@ impl Node {
         }
         r.begin("split")?;
         let at = r.offset();
+        if depth >= max_depth {
+            return Err(CodecError::new(
+                at,
+                format!("tree nests deeper than its max_depth of {max_depth} splits"),
+            ));
+        }
         let feature = r.u64("feature")?;
         if feature >= n_features as u64 {
             return Err(CodecError::new(
@@ -451,8 +468,8 @@ impl Node {
         }
         let feature = feature as usize;
         let threshold = r.f64("threshold")?;
-        let left = Box::new(Node::decode(r, depth + 1, n_features)?);
-        let right = Box::new(Node::decode(r, depth + 1, n_features)?);
+        let left = Box::new(Node::decode(r, depth + 1, max_depth, n_features)?);
+        let right = Box::new(Node::decode(r, depth + 1, max_depth, n_features)?);
         r.end()?;
         Ok(Node::Split {
             feature,
@@ -503,8 +520,8 @@ impl Codec for RegressionTree {
         let params = TreeParams::decode(r)?;
         let at = r.offset();
         let n_features = r.u64("n_features")?;
-        // The flat forest stores feature indices as `u32` (with `u32::MAX`
-        // marking a leaf), so every valid index must fit below that.
+        // The flat forest's threshold dictionary stores feature indices as
+        // `u32`, so every valid index must fit below that.
         if n_features > u64::from(u32::MAX) {
             return Err(CodecError::new(
                 at,
@@ -513,7 +530,8 @@ impl Codec for RegressionTree {
         }
         let n_features = n_features as usize;
         let root = if r.bool("fitted")? {
-            Some(Node::decode(r, 0, n_features)?)
+            let max_depth = params.max_depth.min(MAX_DECODE_DEPTH);
+            Some(Node::decode(r, 0, max_depth, n_features)?)
         } else {
             None
         };

@@ -8,8 +8,12 @@
 //! tests start short-lived servers on ephemeral loopback ports against those
 //! files.
 
-use autopower::{load_model, ModelKind, SweepEngine, SweepPoint, SweepSpec};
-use autopower_config::{boom_configs, ConfigId, CpuConfig, DesignSpace, Workload};
+use autopower::codec::Writer;
+use autopower::{
+    load_model, model_feature_names, ModelFeatures, ModelKind, SweepEngine, SweepPoint, SweepSpec,
+    MODEL_FORMAT_VERSION,
+};
+use autopower_config::{boom_configs, Component, ConfigId, CpuConfig, DesignSpace, Workload};
 use autopower_serve::client::{Client, ClientError};
 use autopower_serve::protocol::{
     read_frame, write_frame, ErrorCode, Frame, ServedPoint, MAGIC, PROTOCOL_VERSION,
@@ -197,6 +201,103 @@ fn cold_start_refuses_bad_model_files() {
             panic!("the same model twice started a server");
         }
     }
+}
+
+/// A checksum-valid McPAT-Calib + Component model of one-split ensembles in
+/// which the first component's ensemble was fitted on rows one feature wider
+/// than the rows its features assemble, and splits on that extra feature.
+/// Every ensemble is self-consistent (its split feature lies inside its own
+/// width), so only the check against the assembled row width refuses it.
+fn too_wide_component_model() -> Vec<u8> {
+    let mut w = Writer::new();
+    w.begin_file("autopower-model", MODEL_FORMAT_VERSION);
+    w.str("kind", ModelKind::McpatCalibComponent.registry_name());
+    w.begin("mcpat-calib-component");
+    w.begin_list("models", Component::ALL.len());
+    for (i, component) in Component::ALL.into_iter().enumerate() {
+        let width = model_feature_names(ModelFeatures::HW_EVENTS, component).len();
+        let n_features = width + usize::from(i == 0);
+        w.begin("gbdt");
+        w.begin("gbdt-params");
+        w.u64("n_estimators", 1);
+        w.f64("learning_rate", 0.1);
+        w.u64("max_depth", 3);
+        w.f64("min_child_weight", 1.0);
+        w.f64("lambda", 1.0);
+        w.f64("gamma", 0.0);
+        w.f64("subsample", 1.0);
+        w.f64("colsample", 1.0);
+        w.u64("seed", 7);
+        w.end();
+        w.f64("base_score", 1.0);
+        w.begin_list("trees", 1);
+        w.begin("tree");
+        w.begin("tree-params");
+        w.u64("max_depth", 3);
+        w.f64("min_child_weight", 1.0);
+        w.f64("lambda", 1.0);
+        w.f64("gamma", 0.0);
+        w.end();
+        w.u64("n_features", n_features as u64);
+        w.bool("fitted", true);
+        w.begin("split");
+        w.u64("feature", n_features as u64 - 1);
+        w.f64("threshold", 0.5);
+        for weight in [-1.0, 1.0] {
+            w.begin("leaf");
+            w.f64("weight", weight);
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.end();
+        w.end();
+    }
+    w.end();
+    w.end();
+    w.end();
+    w.finish()
+}
+
+#[test]
+fn models_fitted_on_the_wrong_row_width_are_refused_at_start_and_reload() {
+    let fx = fixture();
+    let wide = scratch_path("too-wide");
+    std::fs::write(&wide, too_wide_component_model()).expect("write crafted model");
+    match Server::start("127.0.0.1:0", vec![wide.clone()], ServeOptions::default()) {
+        Err(err @ ServeError::Model(_)) => {
+            let message = err.to_string();
+            assert!(message.contains(&*wide.to_string_lossy()), "{message}");
+            assert!(message.contains("fitted on"), "{message}");
+        }
+        Err(other) => panic!("expected a model error, got {other}"),
+        Ok(server) => {
+            stop(server);
+            panic!("a model fitted on the wrong row width started a server");
+        }
+    }
+
+    let path = scratch_path("widened");
+    std::fs::copy(&fx.component, &path).expect("seed the served file");
+    let server = start_server(vec![path.clone()], ServeOptions::fast());
+    let mut client = connect(&server);
+    let configs = DesignSpace::boom().sample(2, 17);
+    let workloads = [Workload::Qsort];
+    let reference = offline_points(&fx.component, &configs, &workloads);
+    std::fs::write(&path, too_wide_component_model()).expect("swap in the crafted model");
+    match client.reload() {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::ReloadFailed);
+            assert!(message.contains("widened"), "path missing from: {message}");
+            assert!(message.contains("fitted on"), "{message}");
+        }
+        other => panic!("expected reload-failed, got {other:?}"),
+    }
+    let served = client
+        .predict(ModelKind::McpatCalibComponent, &configs, &workloads)
+        .expect("predict after refused reload");
+    assert_matches_offline(&served, &reference);
+    stop(server);
 }
 
 #[test]
